@@ -48,4 +48,7 @@ echo "==> cargo bench --no-run (incremental factorization bench must compile)"
 cargo bench -p easybo-bench --bench incremental --no-run
 cargo bench --workspace --no-run
 
+echo "==> end-to-end benchmark must build against the current crate APIs"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> all checks passed"

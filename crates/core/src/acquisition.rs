@@ -163,10 +163,10 @@ impl BatchObjective for PenalizedAcq<'_> {
 }
 
 /// [`weighted_penalized`] over an [`IncrementalGp`] whose pseudo-point
-/// stack currently holds the hallucinated busy points: the *base* mean
-/// comes from the cached base-alpha prefix ([`IncrementalGp::predict_mean_base`])
-/// and `σ̂` from the augmented model — no cloned GP anywhere. Bit-identical
-/// to [`PenalizedAcq`] over `(base, base.augment(busy))`.
+/// stack currently holds the hallucinated busy points: the *base* mean and
+/// `σ̂` come from one kernel column over the augmented rows
+/// ([`IncrementalGp::predict_penalized`]) — no cloned GP anywhere.
+/// Bit-identical to [`PenalizedAcq`] over `(base, base.augment(busy))`.
 pub struct PenalizedAcqInc<'a> {
     /// Surrogate with the busy points pushed as pseudo-points.
     pub inc: &'a IncrementalGp,
@@ -174,24 +174,24 @@ pub struct PenalizedAcqInc<'a> {
     pub w: f64,
 }
 
+impl PenalizedAcqInc<'_> {
+    fn combine(&self, mean: f64, var_hat: f64) -> f64 {
+        let mu_z = self.inc.gp().scaler().transform(mean);
+        (1.0 - self.w) * mu_z + self.w * var_hat.max(0.0).sqrt()
+    }
+}
+
 impl BatchObjective for PenalizedAcqInc<'_> {
     fn eval(&self, x: &[f64]) -> f64 {
-        let gp = self.inc.gp();
-        let mu_z = gp.scaler().transform(self.inc.predict_mean_base(x));
-        let (_, var_hat) = gp.predict_standardized(x);
-        (1.0 - self.w) * mu_z + self.w * var_hat.max(0.0).sqrt()
+        let (mean, var_hat) = self.inc.predict_penalized(x);
+        self.combine(mean, var_hat)
     }
 
     fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let gp = self.inc.gp();
-        let means = self.inc.predict_mean_base_batch(xs);
-        gp.predict_standardized_batch(xs)
+        self.inc
+            .predict_penalized_batch(xs)
             .into_iter()
-            .zip(means)
-            .map(|((_, var_hat), mean)| {
-                let mu_z = gp.scaler().transform(mean);
-                (1.0 - self.w) * mu_z + self.w * var_hat.max(0.0).sqrt()
-            })
+            .map(|(mean, var_hat)| self.combine(mean, var_hat))
             .collect()
     }
 }
@@ -373,6 +373,59 @@ mod tests {
                 assert_eq!(
                     legacy_batch[i].to_bits(),
                     fast_batch[i].to_bits(),
+                    "batch at {i}, w = {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_penalized_acq_bitwise_matches_two_pass_at_paper_scale() {
+        // d = 10 (the op-amp), n = 60 observations, 14 busy points (B = 15).
+        let dim = 10;
+        let point = |i: usize, salt: f64| -> Vec<f64> {
+            (0..dim)
+                .map(|j| (((i * 31 + j * 17) as f64 + salt) * 0.613).sin() * 0.5 + 0.5)
+                .collect()
+        };
+        let x: Vec<Vec<f64>> = (0..60).map(|i| point(i, 0.0)).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .enumerate()
+                    .map(|(j, v)| (v * (j + 2) as f64).cos())
+                    .sum()
+            })
+            .collect();
+        let theta: Vec<f64> = (0..=dim).map(|j| 0.3 * ((j as f64) * 1.7).sin()).collect();
+        let base =
+            Gp::fit_with_params(x, y, KernelFamily::SquaredExponential, theta, -9.0).unwrap();
+        let busy: Vec<Vec<f64>> = (0..14).map(|i| point(i, 0.37)).collect();
+        let augmented = base.augment(&busy).unwrap();
+        let mut inc = IncrementalGp::new(base.clone());
+        for b in &busy {
+            inc.push_pseudo_mean(b.clone()).unwrap();
+        }
+        let queries: Vec<Vec<f64>> = (0..40).map(|i| point(i, 2.9)).collect();
+        for w in [0.0, 0.42, 1.0] {
+            let two_pass = PenalizedAcq {
+                base: &base,
+                augmented: &augmented,
+                w,
+            };
+            let fused = PenalizedAcqInc { inc: &inc, w };
+            let two_pass_batch = two_pass.eval_batch(&queries);
+            let fused_batch = fused.eval_batch(&queries);
+            for (i, q) in queries.iter().enumerate() {
+                assert_eq!(
+                    fused.eval(q).to_bits(),
+                    two_pass.eval(q).to_bits(),
+                    "scalar at {i}, w = {w}"
+                );
+                assert_eq!(
+                    fused_batch[i].to_bits(),
+                    two_pass_batch[i].to_bits(),
                     "batch at {i}, w = {w}"
                 );
             }

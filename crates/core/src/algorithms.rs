@@ -118,8 +118,11 @@ pub struct RunSetup {
     /// sync-batch and evolutionary algorithms (their drivers have no
     /// retry machinery).
     pub retry: RetryPolicy,
-    /// Telemetry handle threaded through the executor. Evolutionary
-    /// baselines emit no executor events.
+    /// Telemetry handle threaded through the executor and into the async
+    /// policies that emit model-layer events (see
+    /// [`Algorithm::run_with`]). Evolutionary baselines emit no executor
+    /// events; sync-batch and sequential policies emit executor events
+    /// only.
     pub telemetry: Telemetry,
 }
 
@@ -332,6 +335,20 @@ impl Algorithm {
         seed: u64,
         parallelism: Parallelism,
     ) -> Option<Box<dyn AsyncPolicy + Send>> {
+        self.async_policy_with_telemetry(bounds, seed, parallelism, &Telemetry::disabled())
+    }
+
+    /// [`Algorithm::async_policy`] with `telemetry` attached to the
+    /// policies that emit model-layer events (`GpRefit`, `AcqOptimized`):
+    /// the EasyBO variants, ε-greedy, pessimistic and standard async BO.
+    /// Telemetry never changes a decision.
+    fn async_policy_with_telemetry(
+        &self,
+        bounds: Bounds,
+        seed: u64,
+        parallelism: Parallelism,
+        telemetry: &Telemetry,
+    ) -> Option<Box<dyn AsyncPolicy + Send>> {
         let dim = bounds.dim();
         let scfg = SurrogateConfig {
             parallelism,
@@ -371,39 +388,45 @@ impl Algorithm {
             Algorithm::Portfolio => Some(Box::new(PortfolioPolicy::with_configs(
                 bounds, 1.0, seed, scfg, acfg,
             ))),
-            Algorithm::EasyBoA => Some(Box::new(EasyBoAsyncPolicy::with_configs(
-                bounds,
-                false,
-                crate::weight::DEFAULT_LAMBDA,
-                seed,
-                scfg,
-                acfg,
-            ))),
-            Algorithm::EasyBo => Some(Box::new(EasyBoAsyncPolicy::with_configs(
-                bounds,
-                true,
-                crate::weight::DEFAULT_LAMBDA,
-                seed,
-                scfg,
-                acfg,
-            ))),
-            Algorithm::EpsGreedy => Some(Box::new(EpsGreedyPolicy::with_configs(
-                bounds,
-                crate::policies::DEFAULT_EPSILON,
-                seed,
-                scfg,
-                acfg,
-            ))),
-            Algorithm::PessimisticBo => Some(Box::new(PessimisticAsyncPolicy::with_configs(
-                bounds,
-                crate::policies::DEFAULT_PESSIMISTIC_KAPPA,
-                seed,
-                scfg,
-                acfg,
-            ))),
-            Algorithm::StandardBo => Some(Box::new(StandardAsyncPolicy::with_configs(
-                bounds, seed, scfg, acfg,
-            ))),
+            Algorithm::EasyBoA | Algorithm::EasyBo => {
+                let mut p = EasyBoAsyncPolicy::with_configs(
+                    bounds,
+                    *self == Algorithm::EasyBo,
+                    crate::weight::DEFAULT_LAMBDA,
+                    seed,
+                    scfg,
+                    acfg,
+                );
+                p.set_telemetry(telemetry.clone());
+                Some(Box::new(p))
+            }
+            Algorithm::EpsGreedy => {
+                let mut p = EpsGreedyPolicy::with_configs(
+                    bounds,
+                    crate::policies::DEFAULT_EPSILON,
+                    seed,
+                    scfg,
+                    acfg,
+                );
+                p.set_telemetry(telemetry.clone());
+                Some(Box::new(p))
+            }
+            Algorithm::PessimisticBo => {
+                let mut p = PessimisticAsyncPolicy::with_configs(
+                    bounds,
+                    crate::policies::DEFAULT_PESSIMISTIC_KAPPA,
+                    seed,
+                    scfg,
+                    acfg,
+                );
+                p.set_telemetry(telemetry.clone());
+                Some(Box::new(p))
+            }
+            Algorithm::StandardBo => {
+                let mut p = StandardAsyncPolicy::with_configs(bounds, seed, scfg, acfg);
+                p.set_telemetry(telemetry.clone());
+                Some(Box::new(p))
+            }
             Algorithm::De
             | Algorithm::Pso
             | Algorithm::Sa
@@ -508,6 +531,10 @@ impl Algorithm {
     /// knobs. With the [`RunSetup::new`] defaults this is bit-identical
     /// to the legacy dispatcher ([`Algorithm::run`]): the async driver's
     /// resilient path with `RetryPolicy::none()` *is* the plain path.
+    ///
+    /// `setup.telemetry` reaches the EasyBO, ε-greedy, pessimistic and
+    /// standard async policies, so those runs emit the same `GpRefit` /
+    /// `AcqOptimized` stream as the [`crate::EasyBo`] builder.
     pub fn run_with(&self, bb: &dyn BlackBox, setup: &RunSetup) -> RunResult {
         let bounds = bb.bounds().clone();
         let mut rng = StdRng::seed_from_u64(setup.seed.wrapping_mul(0x9e37_79b9));
@@ -519,7 +546,12 @@ impl Algorithm {
             AlgorithmMode::Evolutionary => run_metaheuristic(*self, bb, setup.de_evals, setup.seed),
             AlgorithmMode::Sequential => {
                 let mut p = self
-                    .async_policy(bounds, setup.seed, setup.parallelism)
+                    .async_policy_with_telemetry(
+                        bounds,
+                        setup.seed,
+                        setup.parallelism,
+                        &setup.telemetry,
+                    )
                     .expect("sequential algorithms expose an async policy");
                 VirtualExecutor::new(1).run_async_resilient(
                     bb,
@@ -532,7 +564,12 @@ impl Algorithm {
             }
             AlgorithmMode::AsyncBatch => {
                 let mut p = self
-                    .async_policy(bounds, setup.seed, setup.parallelism)
+                    .async_policy_with_telemetry(
+                        bounds,
+                        setup.seed,
+                        setup.parallelism,
+                        &setup.telemetry,
+                    )
                     .expect("async-batch algorithms expose an async policy");
                 VirtualExecutor::new(setup.batch).run_async_resilient(
                     bb,

@@ -51,11 +51,13 @@ use serde::{Deserialize, Serialize};
 /// Nelder–Mead refinement over the unit cube).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AcqOptConfig {
-    /// Random probe count (default `max(256, 48·d)` via [`AcqOptConfig::for_dim`]).
+    /// Random probe count: `max(320, 44·d)` via [`AcqOptConfig::for_dim`]
+    /// (the setting every built-in policy uses), 384 from `Default`.
     pub probes: usize,
     /// Local refinements of the top seeds (default 3).
     pub starts: usize,
-    /// Nelder–Mead evaluations per refinement (default 120).
+    /// Nelder–Mead evaluations per refinement: `max(100, 14·d)` via
+    /// [`AcqOptConfig::for_dim`], 120 from `Default`.
     pub refine_evals: usize,
     /// Worker threads for probe scoring and the refinement starts (default:
     /// available cores; 1 = the legacy sequential path). The selected point

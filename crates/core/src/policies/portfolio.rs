@@ -97,10 +97,10 @@ impl ThompsonSamplingPolicy {
             .iter()
             .map(|c| gp.posterior_cross_weights(c))
             .collect();
+        let prior = gp.kernel().covariance(gp.theta(), &cands);
         for i in 0..m {
             for j in 0..=i {
-                let prior = gp.kernel().eval(gp.theta(), &cands[i], &cands[j]);
-                let v = prior - cross[i].dot(&cross[j]);
+                let v = prior[(i, j)] - cross[i].dot(&cross[j]);
                 cov[(i, j)] = v;
                 cov[(j, i)] = v;
             }

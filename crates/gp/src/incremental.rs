@@ -26,7 +26,7 @@
 use easybo_linalg::Vector;
 use easybo_telemetry::Telemetry;
 
-use crate::model::Gp;
+use crate::model::{weighted_row_sums, Gp};
 use crate::GpError;
 
 /// A [`Gp`] wrapped with an incremental-update API and a pseudo-point
@@ -205,53 +205,54 @@ impl IncrementalGp {
         }
     }
 
-    /// Posterior mean of the **base** model (ignoring live pseudo-points),
-    /// raw units — bit-identical to `base.predict_mean(x)` on the model as
-    /// it stood before the pushes. Used by the penalized acquisition,
-    /// which mixes the base mean with the augmented uncertainty.
+    /// The penalized posterior of Eq. 9 from one kernel column: the
+    /// **base** model's mean (ignoring live pseudo-points, raw units) and
+    /// the augmented model's standardized variance `σ̂²`. The base rows are
+    /// a prefix of the augmented rows, so `k*` is built once and the base
+    /// mean reads its `[..n_base]` prefix against the saved base `α`.
+    ///
+    /// Bit-identical to `(base.predict_mean(x),
+    /// augmented.predict_standardized(x).1)` on the model as it stood
+    /// before the pushes and the model after them.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != dim()`.
-    pub fn predict_mean_base(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.gp.dim(), "query dimension mismatch");
-        let base_alpha = self.base_alpha();
-        let kernel = self.gp.kernel();
-        let theta = self.gp.theta();
-        let mean_z: f64 = self.gp.x_rows()[..self.n_base()]
+    pub fn predict_penalized(&self, x: &[f64]) -> (f64, f64) {
+        let kstar = self
+            .gp
+            .kernel()
+            .column(self.gp.theta(), self.gp.x_rows(), x);
+        let mean_z: f64 = kstar.as_slice()[..self.n_base()]
             .iter()
-            .zip(base_alpha.iter())
-            .map(|(xi, &a)| kernel.eval(theta, x, xi) * a)
+            .zip(self.base_alpha().iter())
+            .map(|(k, &a)| k * a)
             .sum();
-        self.gp.scaler().inverse(mean_z)
+        (
+            self.gp.scaler().inverse(mean_z),
+            self.gp.variance_from_column(&kstar),
+        )
     }
 
-    /// Batched [`IncrementalGp::predict_mean_base`], bit-identical per
-    /// point to `base.predict_mean_batch(xs)`.
+    /// Batched [`IncrementalGp::predict_penalized`]: one `K*` over every
+    /// row and one multi-RHS solve for the whole batch, bit-identical per
+    /// point to the scalar call.
     ///
     /// # Panics
     ///
     /// Panics if any point has the wrong dimension.
-    pub fn predict_mean_base_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+    pub fn predict_penalized_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         if xs.is_empty() {
             return Vec::new();
         }
-        let n_base = self.n_base();
-        let base_alpha = self.base_alpha();
-        let kstar =
-            self.gp
-                .kernel()
-                .cross_covariance(self.gp.theta(), &self.gp.x_rows()[..n_base], xs);
-        let mut means = vec![0.0; xs.len()];
-        for i in 0..n_base {
-            let a = base_alpha[i];
-            for (mu, &k) in means.iter_mut().zip(kstar.row(i)) {
-                *mu += k * a;
-            }
-        }
-        means
+        let kstar = self
+            .gp
+            .kernel()
+            .cross_covariance(self.gp.theta(), self.gp.x_rows(), xs);
+        weighted_row_sums(&kstar, self.base_alpha().as_slice())
             .into_iter()
             .map(|mu| self.gp.scaler().inverse(mu))
+            .zip(self.gp.variances_from_cross(&kstar))
             .collect()
     }
 
@@ -352,22 +353,33 @@ mod tests {
         inc.push_pseudo_mean(vec![0.33]).unwrap();
         inc.push_pseudo_lie(vec![0.66], 9.0).unwrap(); // a lie that WOULD move the mean
         let probes: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
-        let batch = inc.predict_mean_base_batch(&probes);
-        let legacy = base.predict_mean_batch(&probes);
+        let batch = inc.predict_penalized_batch(&probes);
+        let legacy_means = base.predict_mean_batch(&probes);
         for (i, p) in probes.iter().enumerate() {
+            let (mean, var_hat) = inc.predict_penalized(p);
+            let var_aug = inc.gp().predict_standardized(p).1;
             assert_eq!(
-                inc.predict_mean_base(p).to_bits(),
+                mean.to_bits(),
                 base.predict_mean(p).to_bits(),
-                "scalar at {i}"
+                "mean at {i}"
             );
-            assert_eq!(batch[i].to_bits(), legacy[i].to_bits(), "batch at {i}");
+            assert_eq!(var_hat.to_bits(), var_aug.to_bits(), "σ̂² at {i}");
+            assert_eq!(
+                batch[i].0.to_bits(),
+                legacy_means[i].to_bits(),
+                "batch mean at {i}"
+            );
+            assert_eq!(batch[i].1.to_bits(), var_aug.to_bits(), "batch σ̂² at {i}");
         }
-        // With no pseudo-points the base mean is just the live mean.
+        // With no pseudo-points both halves come from the live model.
         inc.pop_all_pseudo();
+        let (mean, var) = inc.predict_penalized(&probes[3]);
+        assert_eq!(mean.to_bits(), base.predict_mean(&probes[3]).to_bits());
         assert_eq!(
-            inc.predict_mean_base(&probes[3]).to_bits(),
-            base.predict_mean(&probes[3]).to_bits()
+            var.to_bits(),
+            base.predict_standardized(&probes[3]).1.to_bits()
         );
+        assert!(inc.predict_penalized_batch(&[]).is_empty());
     }
 
     #[test]

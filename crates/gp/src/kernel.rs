@@ -6,18 +6,20 @@
 //! dimension followed by the log signal variance. The observation noise
 //! lives in the GP model, not the kernel.
 
-use easybo_linalg::Matrix;
+use easybo_linalg::{Matrix, Vector};
 use serde::{Deserialize, Serialize};
 
 /// Fixed shape parameter of the rational-quadratic kernel.
 const RQ_ALPHA: f64 = 2.0;
 
-/// Scaled squared distance with precomputed inverse length-scales: the same
-/// `(aᵢ-bᵢ)·ℓᵢ⁻¹` arithmetic (and accumulation order) as [`ArdKernel::eval`],
-/// so batched builders produce bit-identical kernel values.
-fn scaled_r2(a: &[f64], b: &[f64], inv_l: &[f64]) -> f64 {
+/// Scaled squared distance `r² = Σ ((aᵢ-bᵢ)·ℓᵢ⁻¹)²`, the argument of every
+/// stationary kernel here. The single `r²` code path: hoisted callers pass
+/// precomputed inverse length-scales, [`ArdKernel::eval`] computes them on
+/// the fly, and the arithmetic (and accumulation order) is the same, so
+/// every builder produces bit-identical kernel values.
+fn scaled_r2(a: &[f64], b: &[f64], inv_l: impl IntoIterator<Item = f64>) -> f64 {
     let mut r2 = 0.0;
-    for ((&ai, &bi), &il) in a.iter().zip(b).zip(inv_l) {
+    for ((&ai, &bi), il) in a.iter().zip(b).zip(inv_l) {
         let d = (ai - bi) * il;
         r2 += d * d;
     }
@@ -102,18 +104,6 @@ impl ArdKernel {
         theta[self.dim].exp()
     }
 
-    /// Scaled squared distance `r² = Σ ((aᵢ-bᵢ)/ℓᵢ)²` and, via `r = sqrt(r²)`,
-    /// the argument of every stationary kernel here.
-    fn r2(&self, theta: &[f64], a: &[f64], b: &[f64]) -> f64 {
-        let mut r2 = 0.0;
-        for i in 0..self.dim {
-            let inv_l = (-theta[i]).exp();
-            let d = (a[i] - b[i]) * inv_l;
-            r2 += d * d;
-        }
-        r2
-    }
-
     /// Family-specific kernel value from the signal variance and scaled
     /// squared distance — the single place the radial profile is computed,
     /// shared by the scalar and batched evaluation paths.
@@ -134,9 +124,9 @@ impl ArdKernel {
         }
     }
 
-    /// Inverse length-scales `ℓᵢ⁻¹ = e^{-θᵢ}`, hoisted out of batched builds
-    /// so the O(n·m·d) inner loop pays no transcendental calls.
-    fn inv_lengthscales(&self, theta: &[f64]) -> Vec<f64> {
+    /// Inverse length-scales `ℓᵢ⁻¹ = e^{-θᵢ}`, hoisted out of every loop
+    /// over points so the inner loop pays no transcendental calls.
+    pub fn inv_lengthscales(&self, theta: &[f64]) -> Vec<f64> {
         theta[..self.dim].iter().map(|t| (-t).exp()).collect()
     }
 
@@ -150,7 +140,7 @@ impl ArdKernel {
         assert_eq!(a.len(), self.dim, "input a dimension mismatch");
         assert_eq!(b.len(), self.dim, "input b dimension mismatch");
         let sf2 = theta[self.dim].exp();
-        let r2 = self.r2(theta, a, b);
+        let r2 = scaled_r2(a, b, theta[..self.dim].iter().map(|t| (-t).exp()));
         self.eval_r2(sf2, r2)
     }
 
@@ -171,7 +161,7 @@ impl ArdKernel {
         let inv_l = self.inv_lengthscales(theta);
         let sf2 = theta[self.dim].exp();
         Matrix::symmetric_from_fn(xs.len(), |i, j| {
-            self.eval_r2(sf2, scaled_r2(&xs[i], &xs[j], &inv_l))
+            self.eval_r2(sf2, scaled_r2(&xs[i], &xs[j], inv_l.iter().copied()))
         })
     }
 
@@ -202,56 +192,89 @@ impl ArdKernel {
         for (i, a) in rows.iter().enumerate() {
             let out = k.row_mut(i);
             for (o, q) in out.iter_mut().zip(packed.chunks_exact(d)) {
-                *o = self.eval_r2(sf2, scaled_r2(a, &q[..self.dim], &inv_l));
+                *o = self.eval_r2(sf2, scaled_r2(a, &q[..self.dim], inv_l.iter().copied()));
             }
         }
         k
     }
 
+    /// Kernel column `k*[i] = k(x, rows[i])` of one query against every
+    /// training row, with the inverse length-scales and σ_f² hoisted out
+    /// of the row loop. Entries are bit-identical to [`ArdKernel::eval`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta`, `x` or any row has the wrong length.
+    pub fn column(&self, theta: &[f64], rows: &[Vec<f64>], x: &[f64]) -> Vector {
+        assert_eq!(theta.len(), self.n_theta(), "theta length mismatch");
+        assert_eq!(x.len(), self.dim, "query dimension mismatch");
+        for r in rows {
+            assert_eq!(r.len(), self.dim, "input dimension mismatch");
+        }
+        let inv_l = self.inv_lengthscales(theta);
+        let sf2 = theta[self.dim].exp();
+        Vector::from_iter(
+            rows.iter()
+                .map(|r| self.eval_r2(sf2, scaled_r2(x, r, inv_l.iter().copied()))),
+        )
+    }
+
     /// Evaluates `k(a, b)` and writes `∂k/∂θᵢ` (log-space gradients) into
-    /// `grad`. Returns the kernel value.
+    /// `grad`. Returns the kernel value, bit-identical to
+    /// [`ArdKernel::eval`].
+    ///
+    /// Takes the hoisted hyperparameter transcendentals — `inv_l` from
+    /// [`ArdKernel::inv_lengthscales`] and `sf2` from
+    /// [`ArdKernel::signal_variance`] — so a pairwise gradient loop pays
+    /// them once per θ rather than once per pair.
     ///
     /// # Panics
     ///
     /// Panics if any slice has the wrong length.
-    pub fn eval_with_grad(&self, theta: &[f64], a: &[f64], b: &[f64], grad: &mut [f64]) -> f64 {
+    pub fn eval_with_grad(
+        &self,
+        inv_l: &[f64],
+        sf2: f64,
+        a: &[f64],
+        b: &[f64],
+        grad: &mut [f64],
+    ) -> f64 {
+        let d = self.dim;
         assert_eq!(
             grad.len(),
             self.n_theta(),
             "gradient buffer length mismatch"
         );
-        let k = self.eval(theta, a, b);
-        let d = self.dim;
+        assert_eq!(inv_l.len(), d, "inverse length-scale length mismatch");
+        assert_eq!(a.len(), d, "input a dimension mismatch");
+        assert_eq!(b.len(), d, "input b dimension mismatch");
         // Per-dimension scaled squared differences u_i = (Δ_i / ℓ_i)².
         // For every family, ∂k/∂log ℓ_i = g(r) · u_i with a family-specific
         // radial factor g(r); ∂k/∂log σ_f² = k.
-        let r2 = self.r2(theta, a, b);
+        let r2 = scaled_r2(a, b, inv_l.iter().copied());
+        let k = self.eval_r2(sf2, r2);
         let radial = match self.family {
             // d k / d u_i = -k/2  =>  d k / d log l_i = k * u_i
             KernelFamily::SquaredExponential => k,
             KernelFamily::Matern52 => {
-                let sf2 = theta[d].exp();
                 let r = r2.sqrt();
                 let s5 = 5f64.sqrt();
                 // dk/d log l_i = sf2 * (5/3)(1 + √5 r) e^{-√5 r} * u_i
                 sf2 * (5.0 / 3.0) * (1.0 + s5 * r) * (-s5 * r).exp()
             }
             KernelFamily::Matern32 => {
-                let sf2 = theta[d].exp();
                 let r = r2.sqrt();
                 let s3 = 3f64.sqrt();
                 // dk/d log l_i = sf2 * 3 e^{-√3 r} * u_i
                 sf2 * 3.0 * (-s3 * r).exp()
             }
+            // dk/d log l_i = sf2 * (1 + r²/2α)^{-α-1} * u_i
             KernelFamily::RationalQuadratic => {
-                // dk/d log l_i = sf2 * (1 + r²/2α)^{-α-1} * u_i
-                let sf2 = theta[d].exp();
                 sf2 * (1.0 + r2 / (2.0 * RQ_ALPHA)).powf(-RQ_ALPHA - 1.0)
             }
         };
         for i in 0..d {
-            let inv_l = (-theta[i]).exp();
-            let u = (a[i] - b[i]) * inv_l;
+            let u = (a[i] - b[i]) * inv_l[i];
             grad[i] = radial * u * u;
         }
         grad[d] = k;
@@ -354,7 +377,13 @@ mod tests {
             let a = [0.2, 0.8, -0.4];
             let b = [0.9, 0.1, 0.3];
             let mut grad = vec![0.0; 4];
-            k.eval_with_grad(&theta, &a, &b, &mut grad);
+            k.eval_with_grad(
+                &k.inv_lengthscales(&theta),
+                k.signal_variance(&theta),
+                &a,
+                &b,
+                &mut grad,
+            );
             for j in 0..4 {
                 let mut tp = theta.clone();
                 tp[j] += eps;
@@ -377,7 +406,8 @@ mod tests {
             let theta = k.default_theta();
             let mut grad = vec![0.0; 3];
             let x = [0.5, 0.5];
-            let v = k.eval_with_grad(&theta, &x, &x, &mut grad);
+            let inv_l = k.inv_lengthscales(&theta);
+            let v = k.eval_with_grad(&inv_l, k.signal_variance(&theta), &x, &x, &mut grad);
             assert!((v - 1.0).abs() < 1e-12);
             assert!(grad.iter().all(|g| g.is_finite()), "{fam:?}: {grad:?}");
             assert_eq!(grad[0], 0.0);
@@ -445,6 +475,17 @@ mod tests {
                     );
                 }
             }
+            for (j, q) in queries.iter().enumerate() {
+                let col = k.column(&theta, &pts, q);
+                assert_eq!(col.len(), pts.len());
+                for (i, p) in pts.iter().enumerate() {
+                    assert_eq!(
+                        col[i].to_bits(),
+                        k.eval(&theta, q, p).to_bits(),
+                        "{fam:?} column ({i}, {j})"
+                    );
+                }
+            }
             let cross = k.cross_covariance(&theta, &pts, &queries);
             assert_eq!(cross.shape(), (7, 4));
             for i in 0..pts.len() {
@@ -454,6 +495,76 @@ mod tests {
                         k.eval(&theta, &pts[i], &queries[j]),
                         "{fam:?} cross ({i}, {j})"
                     );
+                }
+            }
+        }
+    }
+
+    /// The un-hoisted gradient as it stood before the transcendentals
+    /// moved out of the pair loop: every `e^{-θᵢ}` and `e^{θ_d}` is
+    /// recomputed per call.
+    fn eval_with_grad_reference(
+        k: &ArdKernel,
+        theta: &[f64],
+        a: &[f64],
+        b: &[f64],
+        grad: &mut [f64],
+    ) -> f64 {
+        let v = k.eval(theta, a, b);
+        let d = k.dim;
+        let mut r2 = 0.0;
+        for i in 0..d {
+            let u = (a[i] - b[i]) * (-theta[i]).exp();
+            r2 += u * u;
+        }
+        let radial = match k.family {
+            KernelFamily::SquaredExponential => v,
+            KernelFamily::Matern52 => {
+                let r = r2.sqrt();
+                let s5 = 5f64.sqrt();
+                theta[d].exp() * (5.0 / 3.0) * (1.0 + s5 * r) * (-s5 * r).exp()
+            }
+            KernelFamily::Matern32 => {
+                let r = r2.sqrt();
+                theta[d].exp() * 3.0 * (-3f64.sqrt() * r).exp()
+            }
+            KernelFamily::RationalQuadratic => {
+                theta[d].exp() * (1.0 + r2 / (2.0 * RQ_ALPHA)).powf(-RQ_ALPHA - 1.0)
+            }
+        };
+        for i in 0..d {
+            let u = (a[i] - b[i]) * (-theta[i]).exp();
+            grad[i] = radial * u * u;
+        }
+        grad[d] = v;
+        v
+    }
+
+    #[test]
+    fn hoisted_gradient_bitwise_matches_unhoisted_reference() {
+        let pts: Vec<Vec<f64>> = (0..9)
+            .map(|i| {
+                (0..4)
+                    .map(|j| ((i * 7 + j * 5) as f64 * 0.37).sin() * 1.3)
+                    .collect()
+            })
+            .collect();
+        let theta = [0.4, -0.7, 1.1, -0.2, 0.6];
+        for fam in FAMILIES {
+            let k = ArdKernel::new(fam, 4);
+            let inv_l = k.inv_lengthscales(&theta);
+            let sf2 = k.signal_variance(&theta);
+            let mut got = vec![0.0; 5];
+            let mut want = vec![0.0; 5];
+            for (i, a) in pts.iter().enumerate() {
+                for (j, b) in pts.iter().enumerate().take(i + 1) {
+                    let v = k.eval_with_grad(&inv_l, sf2, a, b, &mut got);
+                    let v_ref = eval_with_grad_reference(&k, &theta, a, b, &mut want);
+                    assert_eq!(v.to_bits(), v_ref.to_bits(), "{fam:?} value ({i}, {j})");
+                    assert_eq!(v.to_bits(), k.eval(&theta, a, b).to_bits());
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{fam:?} grad ({i}, {j})");
+                    }
                 }
             }
         }

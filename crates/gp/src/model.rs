@@ -447,13 +447,17 @@ impl Gp {
     ///
     /// Panics if `x.len() != dim()`.
     pub fn predict_standardized(&self, x: &[f64]) -> (f64, f64) {
-        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let kstar = Vector::from_iter(self.x.iter().map(|xi| self.kernel.eval(&self.theta, x, xi)));
-        let mean = kstar.dot(&self.alpha);
-        let v = self.chol.solve_lower(&kstar);
-        let prior = self.kernel.eval(&self.theta, x, x);
-        let var = (prior - v.dot(&v)).max(0.0);
-        (mean, var)
+        let kstar = self.kernel.column(&self.theta, &self.x, x);
+        (kstar.dot(&self.alpha), self.variance_from_column(&kstar))
+    }
+
+    /// Posterior variance (standardized) from a query's kernel column
+    /// `k*` over every training row: `σ_f² − ‖L⁻¹k*‖²`, clamped at zero.
+    /// `k(x, x)` is exactly σ_f² for every stationary family here (the
+    /// radial factor is exactly 1.0 at r² = 0).
+    pub(crate) fn variance_from_column(&self, kstar: &Vector) -> f64 {
+        let v = self.chol.solve_lower(kstar);
+        (self.kernel.signal_variance(&self.theta) - v.dot(&v)).max(0.0)
     }
 
     /// Posterior predictions for a whole batch of query points (raw units).
@@ -486,31 +490,26 @@ impl Gp {
         if xs.is_empty() {
             return Vec::new();
         }
-        let m = xs.len();
         let kstar = self.kernel.cross_covariance(&self.theta, &self.x, xs);
-        let v = self.chol.solve_lower_multi(&kstar);
-        // Row-wise accumulation: column j sees the same i-ascending order
-        // as the scalar `kstar.dot(alpha)` / `v.dot(v)` reductions.
-        let mut means = vec![0.0; m];
-        let mut vss = vec![0.0; m];
+        weighted_row_sums(&kstar, self.alpha.as_slice())
+            .into_iter()
+            .zip(self.variances_from_cross(&kstar))
+            .collect()
+    }
+
+    /// Batched [`Gp::variance_from_column`] over an `n × m` block `K*`:
+    /// one multi-RHS forward substitution, then row-wise accumulation so
+    /// column j sees the same i-ascending order as the scalar `v.dot(v)`.
+    pub(crate) fn variances_from_cross(&self, kstar: &Matrix) -> Vec<f64> {
+        let v = self.chol.solve_lower_multi(kstar);
+        let mut vss = vec![0.0; kstar.cols()];
         for i in 0..self.n_train() {
-            let a = self.alpha[i];
-            for (mu, &k) in means.iter_mut().zip(kstar.row(i)) {
-                *mu += k * a;
-            }
             for (s, &vij) in vss.iter_mut().zip(v.row(i)) {
                 *s += vij * vij;
             }
         }
-        // k(x, x) reduces to σ_f² exactly for every stationary family here
-        // (the radial factor is exactly 1.0 at r² = 0), matching the scalar
-        // path's `kernel.eval(x, x)` prior bit for bit.
         let prior = self.kernel.signal_variance(&self.theta);
-        means
-            .into_iter()
-            .zip(vss)
-            .map(|(mu, s)| (mu, (prior - s).max(0.0)))
-            .collect()
+        vss.into_iter().map(|s| (prior - s).max(0.0)).collect()
     }
 
     /// Batched posterior means only (raw units) — the batch counterpart of
@@ -524,14 +523,7 @@ impl Gp {
             return Vec::new();
         }
         let kstar = self.kernel.cross_covariance(&self.theta, &self.x, xs);
-        let mut means = vec![0.0; xs.len()];
-        for i in 0..self.n_train() {
-            let a = self.alpha[i];
-            for (mu, &k) in means.iter_mut().zip(kstar.row(i)) {
-                *mu += k * a;
-            }
-        }
-        means
+        weighted_row_sums(&kstar, self.alpha.as_slice())
             .into_iter()
             .map(|mu| self.scaler.inverse(mu))
             .collect()
@@ -547,9 +539,8 @@ impl Gp {
     ///
     /// Panics if `x.len() != dim()`.
     pub fn posterior_cross_weights(&self, x: &[f64]) -> Vector {
-        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let kstar = Vector::from_iter(self.x.iter().map(|xi| self.kernel.eval(&self.theta, x, xi)));
-        self.chol.solve_lower(&kstar)
+        self.chol
+            .solve_lower(&self.kernel.column(&self.theta, &self.x, x))
     }
 
     /// Posterior mean only (skips the triangular solve), raw units.
@@ -558,12 +549,11 @@ impl Gp {
     ///
     /// Panics if `x.len() != dim()`.
     pub fn predict_mean(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim(), "query dimension mismatch");
-        let mean_z: f64 = self
-            .x
+        let kstar = self.kernel.column(&self.theta, &self.x, x);
+        let mean_z: f64 = kstar
             .iter()
             .zip(self.alpha.iter())
-            .map(|(xi, &a)| self.kernel.eval(&self.theta, x, xi) * a)
+            .map(|(k, &a)| k * a)
             .sum();
         self.scaler.inverse(mean_z)
     }
@@ -671,12 +661,8 @@ impl Gp {
     ///
     /// On error the model is left untouched.
     pub(crate) fn push_point_standardized(&mut self, x: Vec<f64>, z: f64) -> crate::Result<bool> {
-        let cross = Vector::from_iter(
-            self.x
-                .iter()
-                .map(|xi| self.kernel.eval(&self.theta, &x, xi)),
-        );
-        let diag = self.kernel.eval(&self.theta, &x, &x) + self.log_noise.exp();
+        let cross = self.kernel.column(&self.theta, &self.x, &x);
+        let diag = self.kernel.signal_variance(&self.theta) + self.log_noise.exp();
         let floored = self.chol.extend(&cross, diag)?;
         self.x.push(x);
         let mut z_new = self.z.clone();
@@ -729,6 +715,19 @@ impl Gp {
     pub(crate) fn mark_all_real(&mut self) {
         self.n_real = self.x.len();
     }
+}
+
+/// `out[j] = Σᵢ K[i,j]·wᵢ` over the leading `w.len()` rows of `k`,
+/// accumulated i-ascending so each column matches the scalar
+/// `k*·α` reduction bit for bit.
+pub(crate) fn weighted_row_sums(k: &Matrix, w: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; k.cols()];
+    for (i, &a) in w.iter().enumerate() {
+        for (o, &kij) in out.iter_mut().zip(k.row(i)) {
+            *o += kij * a;
+        }
+    }
+    out
 }
 
 /// Builds `K = K_f + σ_n² I` for the given inputs via the batched symmetric

@@ -215,9 +215,11 @@ fn penalized_nll(
     }
     let mut kgrad = vec![0.0; n_kernel];
     let mut lml_grad = vec![0.0; n_kernel + 1];
+    let inv_l = kernel.inv_lengthscales(theta);
+    let sf2 = kernel.signal_variance(theta);
     for i in 0..n {
         for j in 0..=i {
-            kernel.eval_with_grad(theta, &x[i], &x[j], &mut kgrad);
+            kernel.eval_with_grad(&inv_l, sf2, &x[i], &x[j], &mut kgrad);
             let weight = if i == j { w[(i, j)] } else { 2.0 * w[(i, j)] };
             for (gsum, &kg) in lml_grad[..n_kernel].iter_mut().zip(kgrad.iter()) {
                 *gsum += 0.5 * weight * kg;

@@ -9,9 +9,9 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use easybo::EasyBo;
+use easybo::{Algorithm, EasyBo, RunSetup};
 use easybo_exec::{
-    AsyncPolicy, BusyPoint, CostedFunction, Dataset, SimTimeModel, SyncBatchPolicy,
+    AsyncPolicy, BlackBox, BusyPoint, CostedFunction, Dataset, SimTimeModel, SyncBatchPolicy,
     ThreadedExecutor, VirtualExecutor,
 };
 use easybo_opt::Bounds;
@@ -310,4 +310,51 @@ fn run_report_shares_are_consistent() {
     // headline numbers.
     let text = format!("{r}");
     assert!(text.contains("utilization"), "report text: {text}");
+}
+
+/// Every way of running EasyBO emits the same model-layer telemetry: a
+/// registry run (`Algorithm::run_with`, the path behind the Table
+/// benches) attaches `RunSetup::telemetry` to the policy, so it reports
+/// exactly the refits and acquisition optimizations of the equivalent
+/// `EasyBo` builder run.
+#[test]
+fn registry_and_builder_runs_emit_the_same_model_events() {
+    let count = |events: &[TimedEvent]| {
+        let refits = events
+            .iter()
+            .filter(|e| matches!(e.event, Event::GpRefit { .. }))
+            .count();
+        let acqs = events
+            .iter()
+            .filter(|e| matches!(e.event, Event::AcqOptimized { .. }))
+            .count();
+        (refits, acqs)
+    };
+    let bb = toy_blackbox();
+
+    let (telemetry, recorder) = Telemetry::recording();
+    let mut setup = RunSetup::new(3, 12, 4, 0, 9);
+    setup.telemetry = telemetry.clone();
+    let registry = Algorithm::EasyBo.run_with(&bb, &setup);
+    telemetry.flush();
+    let registry_counts = count(&recorder.events());
+
+    let (telemetry, recorder) = Telemetry::recording();
+    let mut opt = EasyBo::new(bb.bounds().clone());
+    opt.batch_size(3)
+        .initial_points(4)
+        .max_evals(12)
+        .seed(9)
+        .telemetry(telemetry.clone());
+    let builder = opt.run_blackbox(&bb).expect("builder run completes");
+    telemetry.flush();
+    let builder_counts = count(&recorder.events());
+
+    assert_eq!(registry.trace.to_csv(), builder.trace.to_csv());
+    assert!(registry_counts.0 > 0, "registry run emitted no GpRefit");
+    assert!(
+        registry_counts.1 > 0,
+        "registry run emitted no AcqOptimized"
+    );
+    assert_eq!(registry_counts, builder_counts);
 }
