@@ -17,6 +17,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> linear-algebra kernel bit-identity suite (PROPTEST_CASES=256)"
+PROPTEST_CASES=256 cargo test -q -p easybo-linalg
+
 echo "==> fault-injection chaos suite (PROPTEST_CASES=64)"
 PROPTEST_CASES=64 cargo test -q -p easybo-integration --test fault_injection
 

@@ -1,17 +1,19 @@
-//! Hot-path benchmark: batched GP posterior vs scalar prediction, and the
+//! Hot-path benchmark: batched GP posterior vs scalar prediction, the
+//! register-blocked triangular kernels vs their textbook loops, and the
 //! parallel multi-start / parallel training fan-out vs the sequential
 //! legacy path.
 //!
 //! Prints a table and writes `BENCH_hotpath.json` at the repository root
 //! with the measured times, speedups, the host thread count, and a
-//! bit-identity verdict for every parallel comparison. Repetition count
+//! bit-identity verdict for every comparison. Repetition count
 //! comes from `EASYBO_REPS` (default 5); each cell reports the best
 //! (minimum) wall-clock across repetitions.
 
 use std::time::Instant;
 
 use easybo_bench::{bench_report, host_threads, write_bench_report, BenchRecord};
-use easybo_gp::{Gp, GpConfig, KernelFamily, TrainConfig};
+use easybo_gp::{ArdKernel, Gp, GpConfig, KernelFamily, TrainConfig};
+use easybo_linalg::{Cholesky, Matrix, Vector};
 use easybo_opt::{sampling, Bounds, MultiStartMaximizer, Parallelism};
 use rand::SeedableRng;
 
@@ -77,6 +79,117 @@ fn bench_predict_batch(rows: &mut Vec<BenchRecord>, reps: usize, label: &str, n:
         scalar_s,
         batch_s,
         identical,
+    ));
+}
+
+/// Cholesky factor of a 10-d SE-ARD training covariance with `n` points.
+fn training_factor(n: usize) -> (Cholesky, ArdKernel, Vec<Vec<f64>>) {
+    let (xs, _) = training_data(n, 10, 7);
+    let kernel = ArdKernel::new(KernelFamily::SquaredExponential, 10);
+    let mut k = kernel.covariance(&kernel.default_theta(), &xs);
+    k.add_diagonal(1e-4);
+    (Cholesky::new(&k).expect("SPD"), kernel, xs)
+}
+
+/// Textbook forward substitution: one serial dependency chain per row.
+fn solve_lower_textbook(l: &Matrix, b: &Vector) -> Vector {
+    let n = l.rows();
+    let mut y = Vector::zeros(n);
+    for i in 0..n {
+        let mut v = b[i];
+        let row = l.row(i);
+        for k in 0..i {
+            v -= row[k] * y[k];
+        }
+        y[i] = v / row[i];
+    }
+    y
+}
+
+/// Textbook multi-RHS forward substitution: one k-term per pass over row i.
+fn solve_lower_multi_textbook(l: &Matrix, b: &Matrix) -> Matrix {
+    let (n, m) = (l.rows(), b.cols());
+    let mut y = b.clone();
+    let data = y.as_mut_slice();
+    for i in 0..n {
+        let li = l.row(i);
+        let (done, rest) = data.split_at_mut(i * m);
+        let yi = &mut rest[..m];
+        for (k, &lik) in li[..i].iter().enumerate() {
+            for (a, &v) in yi.iter_mut().zip(&done[k * m..(k + 1) * m]) {
+                *a -= lik * v;
+            }
+        }
+        for a in yi.iter_mut() {
+            *a /= li[i];
+        }
+    }
+    y
+}
+
+/// Best-of-`reps` per-call seconds of `iters` back-to-back calls of `f`.
+fn time_per_call<T>(reps: usize, iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let (s, v) = time_best(reps, || {
+        for _ in 1..iters {
+            std::hint::black_box(f());
+        }
+        f()
+    });
+    (s / iters as f64, v)
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The blocked triangular kernels of `easybo-linalg` against bench-local
+/// copies of the textbook loops they replaced, at op-amp cell sizes.
+fn bench_triangular_kernels(rows: &mut Vec<BenchRecord>, reps: usize) {
+    let (chol, kernel, xs) = training_factor(164);
+    let theta = kernel.default_theta();
+    let bounds = Bounds::unit_cube(10).expect("unit cube");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let probes = sampling::uniform(&bounds, 440, &mut rng);
+
+    let b = kernel.column(&theta, &xs, &probes[0]);
+    let (text_s, text) = time_per_call(reps, 2000, || {
+        solve_lower_textbook(chol.factor(), std::hint::black_box(&b))
+    });
+    let (block_s, block) = time_per_call(reps, 2000, || chol.solve_lower(std::hint::black_box(&b)));
+    rows.push(BenchRecord::from_seconds(
+        "solve_lower_blocked_vs_textbook_n164",
+        text_s,
+        block_s,
+        same_bits(text.as_slice(), block.as_slice()),
+    ));
+
+    let kstar = kernel.cross_covariance(&theta, &xs, &probes);
+    let (text_s, text) = time_per_call(reps, 10, || {
+        solve_lower_multi_textbook(chol.factor(), &kstar)
+    });
+    let (block_s, block) = time_per_call(reps, 10, || chol.solve_lower_multi(&kstar));
+    rows.push(BenchRecord::from_seconds(
+        "solve_lower_multi_blocked_vs_textbook_n164_m440",
+        text_s,
+        block_s,
+        same_bits(text.as_slice(), block.as_slice()),
+    ));
+
+    // Baseline: the full two-sweep inverse, `solve_mat(&identity)` over the
+    // textbook forward loop. Only the lower triangles are compared — the
+    // lower-only inverse mirrors its upper triangle instead of computing it.
+    let (chol, _, _) = training_factor(111);
+    let n = chol.dim();
+    let (full_s, full) = time_per_call(reps, 50, || {
+        let y = solve_lower_multi_textbook(chol.factor(), &Matrix::identity(n));
+        chol.solve_lower_transpose_multi(&y)
+    });
+    let (lower_s, lower) = time_per_call(reps, 50, || chol.inverse());
+    rows.push(BenchRecord::from_seconds(
+        "inverse_lower_vs_full_n111",
+        full_s,
+        lower_s,
+        (0..n).all(|i| same_bits(&full.row(i)[..=i], &lower.row(i)[..=i])),
     ));
 }
 
@@ -147,6 +260,7 @@ fn main() {
     // Table I / Table II problem sizes: 10-d op-amp, 12-d class-E PA.
     bench_predict_batch(&mut rows, reps, "opamp", 400, 10);
     bench_predict_batch(&mut rows, reps, "class_e", 400, 12);
+    bench_triangular_kernels(&mut rows, reps);
     bench_parallel_multistart(&mut rows, reps, 10);
     bench_parallel_train(&mut rows, reps, 200, 10);
 
@@ -168,10 +282,11 @@ fn main() {
     let json = bench_report(
         "hotpath",
         reps,
-        "baseline = scalar/sequential path, candidate = batched/parallel path; best-of-reps \
-         wall clock. Thread speedups require host_threads > 1; on a single-core host the \
-         parallel rows measure fan-out overhead only, while the predict_batch rows are \
-         algorithmic and host-independent.",
+        "baseline = scalar/sequential/textbook path, candidate = batched/parallel/blocked \
+         path; best-of-reps wall clock (per call for the triangular-kernel rows). Thread \
+         speedups require host_threads > 1; on a single-core host the parallel rows measure \
+         fan-out overhead only, while the predict_batch rows are algorithmic and \
+         host-independent.",
         &rows,
     );
     let path = write_bench_report("BENCH_hotpath.json", &json);
@@ -179,6 +294,6 @@ fn main() {
 
     assert!(
         rows.iter().all(|r| r.identical),
-        "parallel/batched results must be bit-identical to the sequential path"
+        "batched/blocked/parallel results must be bit-identical to their baseline path"
     );
 }

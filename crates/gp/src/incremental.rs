@@ -146,7 +146,13 @@ impl IncrementalGp {
     /// Same conditions as [`Gp::augment`]; on error the model is unchanged.
     pub fn push_pseudo_mean(&mut self, x: Vec<f64>) -> crate::Result<()> {
         validate_point(&x, self.gp.dim())?;
-        let (mean_z, _) = self.gp.predict_standardized(&x);
+        // The mean half of `Gp::predict_standardized` (bitwise), without
+        // its variance solve.
+        let gp = &self.gp;
+        let mean_z = gp
+            .kernel()
+            .column(gp.theta(), gp.x_rows(), &x)
+            .dot(gp.alpha_vec());
         self.push_standardized(x, mean_z)
     }
 

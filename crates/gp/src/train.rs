@@ -1,7 +1,7 @@
 //! Hyperparameter training: multi-restart L-BFGS on the penalized negative
 //! log marginal likelihood, with analytic gradients.
 
-use easybo_linalg::{Cholesky, Matrix, Vector};
+use easybo_linalg::{Cholesky, Vector};
 use easybo_opt::Parallelism;
 use easybo_telemetry::Telemetry;
 use rand::{Rng, SeedableRng};
@@ -205,14 +205,9 @@ fn penalized_nll(
         - 0.5 * chol.log_det()
         - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
 
-    // W = ααᵀ − K⁻¹ (symmetric). tr(W ∂K/∂θ) accumulated pairwise.
+    // W = ααᵀ − K⁻¹ (symmetric), formed entry by entry over the lower
+    // triangle; tr(W ∂K/∂θ) accumulated pairwise.
     let kinv = chol.inverse();
-    let mut w = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            w[(i, j)] = alpha[i] * alpha[j] - kinv[(i, j)];
-        }
-    }
     let mut kgrad = vec![0.0; n_kernel];
     let mut lml_grad = vec![0.0; n_kernel + 1];
     let inv_l = kernel.inv_lengthscales(theta);
@@ -220,7 +215,8 @@ fn penalized_nll(
     for i in 0..n {
         for j in 0..=i {
             kernel.eval_with_grad(&inv_l, sf2, &x[i], &x[j], &mut kgrad);
-            let weight = if i == j { w[(i, j)] } else { 2.0 * w[(i, j)] };
+            let wij = alpha[i] * alpha[j] - kinv[(i, j)];
+            let weight = if i == j { wij } else { 2.0 * wij };
             for (gsum, &kg) in lml_grad[..n_kernel].iter_mut().zip(kgrad.iter()) {
                 *gsum += 0.5 * weight * kg;
             }
@@ -228,7 +224,8 @@ fn penalized_nll(
     }
     // ∂K/∂log σ_n² = σ_n² I.
     let noise = log_noise.exp();
-    lml_grad[n_kernel] = 0.5 * noise * w.trace();
+    let w_trace: f64 = (0..n).map(|i| alpha[i] * alpha[i] - kinv[(i, i)]).sum();
+    lml_grad[n_kernel] = 0.5 * noise * w_trace;
 
     // Negate for minimization and add the Gaussian prior penalty.
     let mut obj = -lml;
@@ -244,6 +241,7 @@ fn penalized_nll(
 mod tests {
     use super::*;
     use crate::kernel::KernelFamily;
+    use easybo_linalg::Matrix;
 
     fn data() -> (Vec<Vec<f64>>, Vector) {
         let x: Vec<Vec<f64>> = (0..15).map(|i| vec![i as f64 / 14.0]).collect();
@@ -251,6 +249,98 @@ mod tests {
         let scaler = crate::YScaler::fit(&y);
         let z = Vector::from_iter(y.iter().map(|&v| scaler.transform(v)));
         (x, z)
+    }
+
+    /// The `W`-matrix formulation [`penalized_nll`] must reproduce bit for
+    /// bit: full `K⁻¹` from `solve_mat(&identity)`, an explicit n×n
+    /// `W = ααᵀ − K⁻¹`, and `W.trace()` for the noise term.
+    fn penalized_nll_w_reference(
+        kernel: &ArdKernel,
+        x: &[Vec<f64>],
+        z: &Vector,
+        params: &[f64],
+        prior_center: &[f64],
+        prior_strength: f64,
+        grad: &mut [f64],
+    ) -> f64 {
+        let n = x.len();
+        let n_kernel = kernel.n_theta();
+        let theta = &params[..n_kernel];
+        let log_noise = params[n_kernel];
+        let k = covariance_matrix(kernel, theta, log_noise, x);
+        let chol = Cholesky::new(&k).unwrap();
+        let alpha = chol.solve_vec(z);
+        let lml = -0.5 * z.dot(&alpha)
+            - 0.5 * chol.log_det()
+            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        let kinv = chol.solve_mat(&Matrix::identity(n));
+        let mut w = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                w[(i, j)] = alpha[i] * alpha[j] - kinv[(i, j)];
+            }
+        }
+        let mut kgrad = vec![0.0; n_kernel];
+        let mut lml_grad = vec![0.0; n_kernel + 1];
+        let inv_l = kernel.inv_lengthscales(theta);
+        let sf2 = kernel.signal_variance(theta);
+        for i in 0..n {
+            for j in 0..=i {
+                kernel.eval_with_grad(&inv_l, sf2, &x[i], &x[j], &mut kgrad);
+                let weight = if i == j { w[(i, j)] } else { 2.0 * w[(i, j)] };
+                for (gsum, &kg) in lml_grad[..n_kernel].iter_mut().zip(kgrad.iter()) {
+                    *gsum += 0.5 * weight * kg;
+                }
+            }
+        }
+        lml_grad[n_kernel] = 0.5 * log_noise.exp() * w.trace();
+        let mut obj = -lml;
+        for i in 0..params.len() {
+            let d = params[i] - prior_center[i];
+            obj += prior_strength * d * d;
+            grad[i] = -lml_grad[i] + 2.0 * prior_strength * d;
+        }
+        obj
+    }
+
+    #[test]
+    fn lower_triangle_gradient_bitwise_matches_w_matrix_reference() {
+        // n = 37 is not a multiple of the kernels' four-row blocking.
+        let (n, d) = (37, 10);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..d)
+                    .map(|j| (((i * 11 + j * 7) as f64 * 0.61).sin() + 1.0) / 2.0)
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| p.iter().map(|v| (3.0 * v).sin()).sum())
+            .collect();
+        let scaler = crate::YScaler::fit(&y);
+        let z = Vector::from_iter(y.iter().map(|&v| scaler.transform(v)));
+        let mut params: Vec<f64> = (0..d).map(|j| -0.4 + 0.07 * j as f64).collect();
+        params.extend([0.3, -5.0]);
+        let center = vec![0.1; d + 2];
+        for fam in [
+            KernelFamily::SquaredExponential,
+            KernelFamily::Matern52,
+            KernelFamily::Matern32,
+            KernelFamily::RationalQuadratic,
+        ] {
+            let kernel = ArdKernel::new(fam, d);
+            let mut got = vec![0.0; d + 2];
+            let mut want = vec![0.0; d + 2];
+            let f = penalized_nll(&kernel, &x, &z, &params, &center, 0.05, &mut got);
+            let f_ref =
+                penalized_nll_w_reference(&kernel, &x, &z, &params, &center, 0.05, &mut want);
+            assert!(f.is_finite(), "{fam:?}");
+            assert_eq!(f.to_bits(), f_ref.to_bits(), "{fam:?} objective");
+            for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{fam:?} gradient {j}");
+            }
+        }
     }
 
     #[test]

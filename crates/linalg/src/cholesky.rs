@@ -258,12 +258,69 @@ impl Cholesky {
 
     /// Solves `L y = b` (forward substitution).
     ///
+    /// Register-blocked four rows at a time: rows `i..i+4` share one sweep
+    /// over the solved `y[..i]` with four independent running sums, then
+    /// finish in order, each new `y` feeding the rows below it in the
+    /// block. Every `y_i` still sees `b_i − L_i0·y_0 − … − L_i,i−1·y_{i−1}`
+    /// in ascending k and one divide, so the result is bitwise that of the
+    /// textbook row loop; only the serial dependency chain is gone.
+    ///
     /// # Panics
     ///
     /// Panics if `b.len() != dim()`.
     pub fn solve_lower(&self, b: &Vector) -> Vector {
         let n = self.dim();
         assert_eq!(b.len(), n, "solve_lower dimension mismatch");
+        let b = b.as_slice();
+        let mut y = vec![0.0; n];
+        let mut i = 0;
+        while i + 4 <= n {
+            let r0 = &self.l.row(i)[..=i];
+            let r1 = &self.l.row(i + 1)[..=i + 1];
+            let r2 = &self.l.row(i + 2)[..=i + 2];
+            let r3 = &self.l.row(i + 3)[..=i + 3];
+            let (mut v0, mut v1, mut v2, mut v3) = (b[i], b[i + 1], b[i + 2], b[i + 3]);
+            for ((((&a0, &a1), &a2), &a3), &yk) in r0[..i]
+                .iter()
+                .zip(&r1[..i])
+                .zip(&r2[..i])
+                .zip(&r3[..i])
+                .zip(&y[..i])
+            {
+                v0 -= a0 * yk;
+                v1 -= a1 * yk;
+                v2 -= a2 * yk;
+                v3 -= a3 * yk;
+            }
+            let y0 = v0 / r0[i];
+            v1 -= r1[i] * y0;
+            let y1 = v1 / r1[i + 1];
+            v2 -= r2[i] * y0;
+            v2 -= r2[i + 1] * y1;
+            let y2 = v2 / r2[i + 2];
+            v3 -= r3[i] * y0;
+            v3 -= r3[i + 1] * y1;
+            v3 -= r3[i + 2] * y2;
+            let y3 = v3 / r3[i + 3];
+            y[i..i + 4].copy_from_slice(&[y0, y1, y2, y3]);
+            i += 4;
+        }
+        for i in i..n {
+            let row = &self.l.row(i)[..=i];
+            let mut v = b[i];
+            for (&lik, &yk) in row[..i].iter().zip(&y[..i]) {
+                v -= lik * yk;
+            }
+            y[i] = v / row[i];
+        }
+        Vector::from(y)
+    }
+
+    /// The textbook forward substitution [`Cholesky::solve_lower`] must
+    /// reproduce bit for bit. Kept only for the equivalence tests.
+    #[cfg(test)]
+    fn solve_lower_textbook(&self, b: &Vector) -> Vector {
+        let n = self.dim();
         let mut y = Vector::zeros(n);
         for i in 0..n {
             let mut v = b[i];
@@ -308,8 +365,9 @@ impl Cholesky {
     /// sweep. Each column gets exactly the operations of
     /// [`Cholesky::solve_lower`] in the same order, so the result is
     /// bit-identical to solving column by column — but the inner loop streams
-    /// contiguous rows instead of strided columns, which is what makes the
-    /// batched GP posterior fast.
+    /// contiguous rows instead of strided columns, and fuses four k-terms
+    /// per pass (see [`subtract_rows`]), which is what makes the batched GP
+    /// posterior fast.
     ///
     /// # Panics
     ///
@@ -317,6 +375,27 @@ impl Cholesky {
     pub fn solve_lower_multi(&self, b: &Matrix) -> Matrix {
         let n = self.dim();
         assert_eq!(b.rows(), n, "solve_lower_multi dimension mismatch");
+        let m = b.cols();
+        let mut y = b.clone();
+        let data = y.as_mut_slice();
+        for i in 0..n {
+            let li = self.l.row(i);
+            let (done, rest) = data.split_at_mut(i * m);
+            let yi = &mut rest[..m];
+            subtract_rows(yi, &li[..i], done, m, |_| m);
+            let lii = li[i];
+            for a in yi.iter_mut() {
+                *a /= lii;
+            }
+        }
+        y
+    }
+
+    /// The textbook column loop [`Cholesky::solve_lower_multi`] must
+    /// reproduce bit for bit. Kept only for the equivalence tests.
+    #[cfg(test)]
+    fn solve_lower_multi_textbook(&self, b: &Matrix) -> Matrix {
+        let n = self.dim();
         let m = b.cols();
         let mut y = b.clone();
         let data = y.as_mut_slice();
@@ -389,10 +468,52 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
-    /// Explicit inverse `A^{-1}`. O(n^3); used only for the log marginal
-    /// likelihood gradient where the full inverse is genuinely needed.
+    /// Explicit inverse `A^{-1}`, exactly symmetric; O(n³/3). Used for the
+    /// log marginal likelihood gradient and the GP's leave-one-out
+    /// residuals, which read only its lower triangle and diagonal.
+    ///
+    /// Only the lower triangle is computed, then mirrored; every
+    /// lower-triangle entry is bitwise the one `solve_mat(&identity)`
+    /// produces. Forward sweep: `Y = L⁻¹` is lower triangular, so row `i`
+    /// touches columns `≤ i` only, and a pass of k-terms touches only the
+    /// columns `j ≤ k` — column `j` skips the `k < j` terms (except inside
+    /// the pass that reaches `j`). Those terms subtract `l·(+0)` from an
+    /// untouched identity entry (`+0 − (±0) = +0`, `1 − (±0) = 1`), so
+    /// skipping or applying them is exact. Backward sweep: the lower triangle of
+    /// `L⁻ᵀY` reads only lower-triangle entries of `Y` and of itself.
     pub fn inverse(&self) -> Matrix {
-        self.solve_mat(&Matrix::identity(self.dim()))
+        let n = self.dim();
+        let mut inv = Matrix::zeros(n, n);
+        let data = inv.as_mut_slice();
+        for i in 0..n {
+            let li = self.l.row(i);
+            let (done, rest) = data.split_at_mut(i * n);
+            let yi = &mut rest[..=i];
+            yi[i] = 1.0;
+            subtract_rows(yi, &li[..i], done, n, |k| k + 1);
+            let lii = li[i];
+            for a in yi.iter_mut() {
+                *a /= lii;
+            }
+        }
+        let mut coeffs = Vec::with_capacity(n);
+        for i in (0..n).rev() {
+            coeffs.clear();
+            coeffs.extend(((i + 1)..n).map(|k| self.l[(k, i)]));
+            let (head, tail) = data.split_at_mut((i + 1) * n);
+            let xi = &mut head[i * n..][..=i];
+            subtract_rows(xi, &coeffs, tail, n, |_| i + 1);
+            let lii = self.l[(i, i)];
+            for a in xi.iter_mut() {
+                *a /= lii;
+            }
+        }
+        for i in 0..n {
+            for j in 0..i {
+                inv[(j, i)] = inv[(i, j)];
+            }
+        }
+        inv
     }
 
     /// Quadratic form `b^T A^{-1} b` without forming the inverse.
@@ -482,62 +603,45 @@ impl Cholesky {
         self.l.truncate_square(k);
     }
 
-    /// Removes row/column `k` of the factored matrix — the O((n-k)²)
-    /// *interior downdate*.
-    ///
-    /// Deleting row `k` of `L` leaves an `(n-1)×n` matrix `M` with
-    /// `M Mᵀ = A` (row/col `k` removed) whose trailing part is lower
-    /// Hessenberg. A sweep of Givens rotations applied from the right
-    /// restores lower-triangular form without changing `M Mᵀ`, and the
-    /// last (annihilated) column is dropped. Rows above `k` are untouched,
-    /// so the leading `k`×`k` factor block is preserved bit for bit.
-    /// Removing the trailing row degenerates to [`Cholesky::truncate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= dim()`.
-    pub fn remove_row(&mut self, k: usize) {
-        let n = self.dim();
-        assert!(k < n, "remove_row: index {k} out of range for dim {n}");
-        if k == n - 1 {
-            self.truncate(n - 1);
-            return;
-        }
-        let mut m = Matrix::zeros(n - 1, n);
-        for i in 0..k {
-            m.row_mut(i)[..=i].copy_from_slice(&self.l.row(i)[..=i]);
-        }
-        for i in k..(n - 1) {
-            m.row_mut(i)[..=i + 1].copy_from_slice(&self.l.row(i + 1)[..=i + 1]);
-        }
-        for j in k..(n - 1) {
-            // Rotate columns (j, j+1) to annihilate the superdiagonal
-            // entry m[(j, j+1)]; rows above j already have zeros in both
-            // columns. The sign choice keeps the new diagonal `r >= 0`.
-            let x = m[(j, j)];
-            let y = m[(j, j + 1)];
-            let r = x.hypot(y);
-            if r == 0.0 {
-                continue;
-            }
-            let (c, s) = (x / r, y / r);
-            for i in j..(n - 1) {
-                let xi = m[(i, j)];
-                let yi = m[(i, j + 1)];
-                m[(i, j)] = c * xi + s * yi;
-                m[(i, j + 1)] = c * yi - s * xi;
-            }
-        }
-        let mut l = Matrix::zeros(n - 1, n - 1);
-        for i in 0..(n - 1) {
-            l.row_mut(i)[..=i].copy_from_slice(&m.row(i)[..=i]);
-        }
-        self.l = l;
-    }
-
     /// Reconstructs `L L^T` (for tests and diagnostics).
     pub fn reconstruct(&self) -> Matrix {
         self.l.matmul(&self.l.transpose())
+    }
+}
+
+/// `y[c] -= Σₖ coeffs[k] · rows[k·stride + c]` with k ascending, four k per
+/// pass: each `y[c]` becomes `(((y[c] − l₀r₀[c]) − l₁r₁[c]) − l₂r₂[c]) −
+/// l₃r₃[c]`, the exact operation sequence of one subtraction per k, but
+/// loaded and stored once per four terms. A pass whose last term is `k`
+/// updates `y[..width(k)]` only (clamped to `y.len()`).
+#[inline(always)]
+fn subtract_rows(
+    y: &mut [f64],
+    coeffs: &[f64],
+    rows: &[f64],
+    stride: usize,
+    width: impl Fn(usize) -> usize,
+) {
+    let mut k = 0;
+    let mut quads = coeffs.chunks_exact(4);
+    for l in &mut quads {
+        let w = width(k + 3).min(y.len());
+        let r0 = &rows[k * stride..][..w];
+        let r1 = &rows[(k + 1) * stride..][..w];
+        let r2 = &rows[(k + 2) * stride..][..w];
+        let r3 = &rows[(k + 3) * stride..][..w];
+        let (l0, l1, l2, l3) = (l[0], l[1], l[2], l[3]);
+        for ((((a, &v0), &v1), &v2), &v3) in y[..w].iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+            *a = (((*a - l0 * v0) - l1 * v1) - l2 * v2) - l3 * v3;
+        }
+        k += 4;
+    }
+    for &lk in quads.remainder() {
+        let w = width(k).min(y.len());
+        for (a, &v) in y[..w].iter_mut().zip(&rows[k * stride..][..w]) {
+            *a -= lk * v;
+        }
+        k += 1;
     }
 }
 
@@ -655,6 +759,76 @@ mod tests {
                 assert_eq!(y[(i, j)], y_col[i], "forward ({i}, {j})");
                 assert_eq!(x[(i, j)], x_col[i], "backward ({i}, {j})");
             }
+        }
+    }
+
+    /// Sizes covering every `n mod 4` of the four-row / four-term blocking.
+    const BLOCK_SIZES: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 164];
+
+    fn rhs(n: usize, m: usize, seed: u64) -> Matrix {
+        Matrix::from_fn(n, m, |i, j| {
+            ((i * 7 + j * 13) as f64 * 0.37 + seed as f64).sin() * (1.0 + j as f64)
+        })
+    }
+
+    fn assert_bitwise(got: &[f64], want: &[f64], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: element {k}");
+        }
+    }
+
+    /// The lower triangle of `inverse()` must be bitwise that of
+    /// `solve_mat(&identity)`, and the result exactly symmetric.
+    fn assert_inverse_matches_full_solve(c: &Cholesky, ctx: &str) {
+        let n = c.dim();
+        let inv = c.inverse();
+        let full = c.solve_mat(&Matrix::identity(n));
+        for i in 0..n {
+            assert_bitwise(&inv.row(i)[..=i], &full.row(i)[..=i], ctx);
+            for j in 0..i {
+                assert_eq!(
+                    inv[(j, i)].to_bits(),
+                    inv[(i, j)].to_bits(),
+                    "{ctx}: ({j}, {i})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_solve_lower_bitwise_matches_textbook() {
+        for &n in &BLOCK_SIZES {
+            let c = Cholesky::new(&spd(n, n as u64 + 5)).unwrap();
+            let b = rhs(n, 1, 3).col(0);
+            assert_bitwise(
+                c.solve_lower(&b).as_slice(),
+                c.solve_lower_textbook(&b).as_slice(),
+                &format!("n={n}"),
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_solve_lower_multi_bitwise_matches_textbook() {
+        for &n in &BLOCK_SIZES {
+            let c = Cholesky::new(&spd(n, n as u64 + 9)).unwrap();
+            for &m in &[0usize, 1, 3, 440] {
+                let b = rhs(n, m, 1);
+                assert_bitwise(
+                    c.solve_lower_multi(&b).as_slice(),
+                    c.solve_lower_multi_textbook(&b).as_slice(),
+                    &format!("n={n} m={m}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lower_triangle_inverse_bitwise_matches_full_solve() {
+        for &n in &BLOCK_SIZES {
+            let c = Cholesky::new(&spd(n, n as u64 + 2)).unwrap();
+            assert_inverse_matches_full_solve(&c, &format!("n={n}"));
         }
     }
 
@@ -807,45 +981,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_trailing_row_is_exact_truncation() {
-        let a = spd(6, 17);
-        let mut c = Cholesky::new_exact(&a).unwrap();
-        let lead = Matrix::from_fn(5, 5, |i, j| a[(i, j)]);
-        c.remove_row(5);
-        let direct = Cholesky::new_exact(&lead).unwrap();
-        for (x, y) in c.factor().as_slice().iter().zip(direct.factor().as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn remove_interior_row_matches_refactorization() {
-        let a = spd(7, 29);
-        for k in 0..7 {
-            let mut c = Cholesky::new_exact(&a).unwrap();
-            c.remove_row(k);
-            let keep: Vec<usize> = (0..7).filter(|&i| i != k).collect();
-            let sub = Matrix::from_fn(6, 6, |i, j| a[(keep[i], keep[j])]);
-            let full = Cholesky::new_exact(&sub).unwrap();
-            let rel = (&c.reconstruct() - &sub).frobenius_norm() / sub.frobenius_norm();
-            assert!(rel < 1e-12, "k={k}: reconstruction error {rel}");
-            assert!((c.log_det() - full.log_det()).abs() < 1e-9, "k={k}");
-            // Diagonal must stay strictly positive for downstream solves.
-            for i in 0..6 {
-                assert!(c.factor()[(i, i)] > 0.0, "k={k} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn remove_row_to_empty() {
-        let a = Matrix::from_rows(&[&[4.0]]).unwrap();
-        let mut c = Cholesky::new_exact(&a).unwrap();
-        c.remove_row(0);
-        assert_eq!(c.dim(), 0);
-    }
-
-    #[test]
     fn extend_reports_duplicate_floor() {
         let a = spd(3, 5);
         let mut c = Cholesky::new(&a).unwrap();
@@ -900,35 +1035,20 @@ mod tests {
             seed in 0u64..500,
             removals in 0usize..4,
         ) {
-            // Grow a factor one appended row at a time, then delete rows at
-            // seed-derived (trailing AND interior) positions. The composed
-            // factor must reconstruct the same principal submatrix a
-            // from-scratch factorization does, to 1e-10 relative error.
+            // Grow a factor one appended row at a time, then truncate the
+            // trailing rows again. The composed factor must reconstruct the
+            // same leading principal submatrix a from-scratch factorization
+            // does, to 1e-10 relative error.
             let total = n + removals;
             let a = spd(total, seed);
-            let mut active: Vec<usize> = vec![0];
             let mut c =
                 Cholesky::new_exact(&Matrix::from_fn(1, 1, |_, _| a[(0, 0)])).unwrap();
             for next in 1..total {
-                let cross =
-                    Vector::from_iter(active.iter().map(|&i| a[(i, next)]));
+                let cross = Vector::from_iter((0..next).map(|i| a[(i, next)]));
                 c.extend(&cross, a[(next, next)]).unwrap();
-                active.push(next);
-                // Interleave removals with appends, position driven by the
-                // seed so trailing (k = len-1) and interior cases both occur.
-                if removals > 0 && active.len() > n && active.len() % 5 == 4 {
-                    let k = (seed as usize).wrapping_mul(31).wrapping_add(next) % active.len();
-                    c.remove_row(k);
-                    active.remove(k);
-                }
             }
-            while active.len() > n {
-                let k = (seed as usize).wrapping_add(active.len()) % active.len();
-                c.remove_row(k);
-                active.remove(k);
-            }
-            let m = active.len();
-            let sub = Matrix::from_fn(m, m, |i, j| a[(active[i], active[j])]);
+            c.truncate(n);
+            let sub = Matrix::from_fn(n, n, |i, j| a[(i, j)]);
             let rel = (&c.reconstruct() - &sub).frobenius_norm()
                 / sub.frobenius_norm().max(1e-300);
             prop_assert!(rel < 1e-10, "n={n} removals={removals}: error {rel}");
@@ -957,6 +1077,26 @@ mod tests {
             }
             let full = Cholesky::new_exact(&a).unwrap();
             prop_assert!((c.log_det() - full.log_det()).abs() < 1e-8);
+        }
+    }
+    // No case count here: `PROPTEST_CASES` sets it (the CI gate raises it).
+    proptest! {
+        #[test]
+        fn prop_blocked_kernels_are_bitwise_textbook(n in 1usize..70, seed in 0u64..1000) {
+            let c = Cholesky::new(&spd(n, seed)).unwrap();
+            let b = rhs(n, 1 + (seed % 9) as usize, seed);
+            let col = b.col(0);
+            let y = c.solve_lower(&col);
+            let y_ref = c.solve_lower_textbook(&col);
+            for (g, w) in y.iter().zip(y_ref.iter()) {
+                prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+            let ym = c.solve_lower_multi(&b);
+            let ym_ref = c.solve_lower_multi_textbook(&b);
+            for (g, w) in ym.as_slice().iter().zip(ym_ref.as_slice()) {
+                prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+            assert_inverse_matches_full_solve(&c, &format!("n={n} seed={seed}"));
         }
     }
 }
