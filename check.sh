@@ -47,6 +47,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc: no broken intra-doc links"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
+
 echo "==> cargo bench --no-run (incremental factorization bench must compile)"
 cargo bench -p easybo-bench --bench incremental --no-run
 cargo bench --workspace --no-run

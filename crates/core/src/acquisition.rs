@@ -106,22 +106,6 @@ pub fn weighted_batch(gp: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Batched [`weighted_penalized`]: base means via the mean-only batch path,
-/// `σ̂` via the augmented GP's batched posterior. Bit-identical per point to
-/// the scalar call.
-pub fn weighted_penalized_batch(base: &Gp, augmented: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
-    let means = base.predict_mean_batch(xs);
-    augmented
-        .predict_standardized_batch(xs)
-        .into_iter()
-        .zip(means)
-        .map(|((_, var_hat), mean)| {
-            let mu_z = base.scaler().transform(mean);
-            (1.0 - w) * mu_z + w * var_hat.max(0.0).sqrt()
-        })
-        .collect()
-}
-
 /// [`weighted`] packaged as a [`BatchObjective`]: the multi-start maximizer
 /// scores its probe batch through [`weighted_batch`] and falls back to the
 /// scalar path inside Nelder–Mead refinement.
@@ -142,31 +126,11 @@ impl BatchObjective for WeightedAcq<'_> {
     }
 }
 
-/// [`weighted_penalized`] packaged as a [`BatchObjective`].
-pub struct PenalizedAcq<'a> {
-    /// The un-augmented surrogate supplying the predictive mean.
-    pub base: &'a Gp,
-    /// The pseudo-point-augmented surrogate supplying `σ̂`.
-    pub augmented: &'a Gp,
-    /// Exploration weight `w ∈ [0, 1]`.
-    pub w: f64,
-}
-
-impl BatchObjective for PenalizedAcq<'_> {
-    fn eval(&self, x: &[f64]) -> f64 {
-        weighted_penalized(self.base, self.augmented, x, self.w)
-    }
-
-    fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        weighted_penalized_batch(self.base, self.augmented, xs, self.w)
-    }
-}
-
-/// [`weighted_penalized`] over an [`IncrementalGp`] whose pseudo-point
-/// stack currently holds the hallucinated busy points: the *base* mean and
-/// `σ̂` come from one kernel column over the augmented rows
-/// ([`IncrementalGp::predict_penalized`]) — no cloned GP anywhere.
-/// Bit-identical to [`PenalizedAcq`] over `(base, base.augment(busy))`.
+/// The penalized EasyBO acquisition (Eq. 9) over an [`IncrementalGp`]
+/// whose pseudo-point stack currently holds the hallucinated busy points:
+/// the *base* mean and `σ̂` come from one kernel column over the augmented
+/// rows ([`IncrementalGp::predict_penalized`]) — no cloned GP anywhere.
+/// Bit-identical to [`weighted_penalized`] over `(base, base.augment(busy))`.
 pub struct PenalizedAcqInc<'a> {
     /// Surrogate with the busy points pushed as pseudo-points.
     pub inc: &'a IncrementalGp,
@@ -200,6 +164,42 @@ impl BatchObjective for PenalizedAcqInc<'_> {
 mod tests {
     use super::*;
     use easybo_gp::{GpConfig, KernelFamily};
+
+    /// Batched [`weighted_penalized`]: base means via the mean-only batch path,
+    /// `σ̂` via the augmented GP's batched posterior. Bit-identical per point to
+    /// the scalar call.
+    fn weighted_penalized_batch(base: &Gp, augmented: &Gp, xs: &[Vec<f64>], w: f64) -> Vec<f64> {
+        let means = base.predict_mean_batch(xs);
+        augmented
+            .predict_standardized_batch(xs)
+            .into_iter()
+            .zip(means)
+            .map(|((_, var_hat), mean)| {
+                let mu_z = base.scaler().transform(mean);
+                (1.0 - w) * mu_z + w * var_hat.max(0.0).sqrt()
+            })
+            .collect()
+    }
+
+    /// [`weighted_penalized`] packaged as a [`BatchObjective`].
+    struct PenalizedAcq<'a> {
+        /// The un-augmented surrogate supplying the predictive mean.
+        base: &'a Gp,
+        /// The pseudo-point-augmented surrogate supplying `σ̂`.
+        augmented: &'a Gp,
+        /// Exploration weight `w ∈ [0, 1]`.
+        w: f64,
+    }
+
+    impl BatchObjective for PenalizedAcq<'_> {
+        fn eval(&self, x: &[f64]) -> f64 {
+            weighted_penalized(self.base, self.augmented, x, self.w)
+        }
+
+        fn eval_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
+            weighted_penalized_batch(self.base, self.augmented, xs, self.w)
+        }
+    }
 
     fn toy_gp() -> Gp {
         let x = vec![vec![0.0], vec![0.25], vec![0.5], vec![0.75], vec![1.0]];

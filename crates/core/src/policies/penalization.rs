@@ -6,7 +6,7 @@
 //! optimistic value. DESIGN.md calls this design choice out for ablation;
 //! this module implements all three so the benches can compare them.
 
-use easybo_gp::{Gp, IncrementalGp};
+use easybo_gp::IncrementalGp;
 use easybo_telemetry::{Event, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -28,54 +28,10 @@ pub enum PenalizationMode {
 }
 
 impl PenalizationMode {
-    /// Augments `gp` with `busy_units` (unit-cube coordinates) according to
+    /// Pushes `busy_units` (unit-cube coordinates) onto `inc`'s
+    /// pseudo-point factor stack via rank-1 Cholesky updates, according to
     /// the mode. `y_lo`/`y_hi` are the worst/best raw observations so far
-    /// (used by the constant-liar modes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`easybo_gp::GpError`] from the underlying augmentation
-    /// (degenerate duplicated points).
-    pub fn augment(
-        &self,
-        gp: &Gp,
-        busy_units: &[Vec<f64>],
-        y_lo: f64,
-        y_hi: f64,
-    ) -> Result<Gp, easybo_gp::GpError> {
-        match self {
-            PenalizationMode::HallucinateMean => gp.augment(busy_units),
-            PenalizationMode::ConstantLiarMin => lie(gp, busy_units, y_lo),
-            PenalizationMode::ConstantLiarMax => lie(gp, busy_units, y_hi),
-        }
-    }
-
-    /// [`PenalizationMode::augment`] with a telemetry handle: emits one
-    /// `PseudoPointAdded` event (with the number of hallucinated points)
-    /// per successful augmentation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PenalizationMode::augment`].
-    pub fn augment_traced(
-        &self,
-        gp: &Gp,
-        busy_units: &[Vec<f64>],
-        y_lo: f64,
-        y_hi: f64,
-        telemetry: &Telemetry,
-    ) -> Result<Gp, easybo_gp::GpError> {
-        let aug = self.augment(gp, busy_units, y_lo, y_hi)?;
-        telemetry.emit_with(|| Event::PseudoPointAdded {
-            count: busy_units.len(),
-        });
-        telemetry.incr("pseudo_points_added", busy_units.len() as u64);
-        Ok(aug)
-    }
-
-    /// Incremental counterpart of [`PenalizationMode::augment_traced`]:
-    /// pushes the busy points onto `inc`'s pseudo-point factor stack via
-    /// rank-1 Cholesky updates instead of cloning and refactorizing.
+    /// (the constant-liar targets).
     ///
     /// On success the stack holds exactly `busy_units.len()` new
     /// pseudo-points and one `PseudoPointAdded` event is emitted. On error
@@ -84,7 +40,10 @@ impl PenalizationMode {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PenalizationMode::augment`].
+    /// Propagates [`easybo_gp::GpError`] from
+    /// [`IncrementalGp::push_pseudo_mean`] /
+    /// [`IncrementalGp::push_pseudo_lie`] (degenerate duplicated points,
+    /// wrong dimensions, non-finite lie targets).
     pub fn push_traced(
         &self,
         inc: &mut IncrementalGp,
@@ -136,22 +95,33 @@ impl PenalizationMode {
     }
 }
 
-/// Augments with a fixed lie value for every busy point.
-fn lie(gp: &Gp, busy_units: &[Vec<f64>], y: f64) -> Result<Gp, easybo_gp::GpError> {
-    let mut out = gp.clone();
-    for b in busy_units {
-        out = out.extend_observed(b.clone(), y)?;
-        // `extend_observed` counts the point as real; for penalization
-        // semantics that distinction only matters for bookkeeping, which
-        // the caller discards (the augmented GP lives for one selection).
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easybo_gp::KernelFamily;
+    use easybo_gp::{Gp, GpError, KernelFamily};
+
+    /// Clone-and-refactorize reference for [`PenalizationMode::push_traced`]:
+    /// a copy of `gp` augmented with `busy_units` according to `mode`.
+    fn reference_augment(
+        mode: PenalizationMode,
+        gp: &Gp,
+        busy_units: &[Vec<f64>],
+        y_lo: f64,
+        y_hi: f64,
+    ) -> Result<Gp, GpError> {
+        let lie = |y: f64| -> Result<Gp, GpError> {
+            let mut out = gp.clone();
+            for b in busy_units {
+                out = out.extend_observed(b.clone(), y)?;
+            }
+            Ok(out)
+        };
+        match mode {
+            PenalizationMode::HallucinateMean => gp.augment(busy_units),
+            PenalizationMode::ConstantLiarMin => lie(y_lo),
+            PenalizationMode::ConstantLiarMax => lie(y_hi),
+        }
+    }
 
     fn toy_gp() -> Gp {
         let x: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
@@ -172,7 +142,7 @@ mod tests {
         let busy = vec![vec![0.4]];
         let v0 = gp.predict(&[0.4]).variance;
         for mode in PenalizationMode::all() {
-            let aug = mode.augment(&gp, &busy, -1.0, 1.0).expect("augments");
+            let aug = reference_augment(mode, &gp, &busy, -1.0, 1.0).expect("augments");
             let v1 = aug.predict(&[0.4]).variance;
             assert!(v1 <= v0 + 1e-12, "{mode:?}: {v0} -> {v1}");
         }
@@ -182,8 +152,7 @@ mod tests {
     fn mean_mode_keeps_posterior_mean() {
         let gp = toy_gp();
         let busy = vec![vec![1.5]];
-        let aug = PenalizationMode::HallucinateMean
-            .augment(&gp, &busy, -1.0, 1.0)
+        let aug = reference_augment(PenalizationMode::HallucinateMean, &gp, &busy, -1.0, 1.0)
             .expect("augments");
         for q in [0.2, 0.9, 1.5, 2.0] {
             assert!(
@@ -197,8 +166,7 @@ mod tests {
     fn liar_min_depresses_mean_near_busy_point() {
         let gp = toy_gp();
         let busy = vec![vec![1.5]]; // unexplored region
-        let aug = PenalizationMode::ConstantLiarMin
-            .augment(&gp, &busy, -5.0, 5.0)
+        let aug = reference_augment(PenalizationMode::ConstantLiarMin, &gp, &busy, -5.0, 5.0)
             .expect("augments");
         assert!(
             aug.predict(&[1.5]).mean < gp.predict(&[1.5]).mean,
@@ -210,8 +178,7 @@ mod tests {
     fn liar_max_raises_mean_near_busy_point() {
         let gp = toy_gp();
         let busy = vec![vec![1.5]];
-        let aug = PenalizationMode::ConstantLiarMax
-            .augment(&gp, &busy, -5.0, 5.0)
+        let aug = reference_augment(PenalizationMode::ConstantLiarMax, &gp, &busy, -5.0, 5.0)
             .expect("augments");
         assert!(
             aug.predict(&[1.5]).mean > gp.predict(&[1.5]).mean,
@@ -225,7 +192,7 @@ mod tests {
         let busy = vec![vec![0.3], vec![0.85]];
         for mode in PenalizationMode::all() {
             let gp = toy_gp();
-            let aug = mode.augment(&gp, &busy, -5.0, 5.0).expect("augments");
+            let aug = reference_augment(mode, &gp, &busy, -5.0, 5.0).expect("augments");
             let mut inc = IncrementalGp::new(toy_gp());
             mode.push_traced(&mut inc, &busy, -5.0, 5.0, &telemetry)
                 .expect("pushes");

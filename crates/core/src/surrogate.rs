@@ -38,13 +38,6 @@ pub struct SurrogateConfig {
     /// Worker threads for the L-BFGS training restarts (default: available
     /// cores; 1 = legacy sequential). Bit-identical results at any setting.
     pub parallelism: Parallelism,
-    /// Use the incremental factor path (default true): per-tell appends
-    /// mutate the cached Cholesky factor in place, and the penalization
-    /// inner loop pushes/pops pseudo-points on a factor stack instead of
-    /// cloning the GP. `false` selects the legacy clone-and-extend paths.
-    /// Bit-identical results either way — the incremental path performs
-    /// the same floating-point operations in the same order.
-    pub incremental: bool,
 }
 
 impl Default for SurrogateConfig {
@@ -58,7 +51,6 @@ impl Default for SurrogateConfig {
             max_gp_points: 260,
             seed: 0,
             parallelism: Parallelism::default(),
-            incremental: true,
         }
     }
 }
@@ -126,12 +118,6 @@ impl SurrogateManager {
             inc.set_telemetry(telemetry.clone());
         }
         self.telemetry = telemetry;
-    }
-
-    /// Whether the incremental factor path is enabled (see
-    /// [`SurrogateConfig::incremental`]).
-    pub fn incremental_enabled(&self) -> bool {
-        self.config.incremental
     }
 
     /// The design space.
@@ -207,23 +193,14 @@ impl SurrogateManager {
             self.gp = Some(IncrementalGp::with_telemetry(gp, self.telemetry.clone()));
         } else if n > self.fitted_n {
             // Incrementally absorb the new observations with fixed
-            // hyperparameters (O(n²) per point).
+            // hyperparameters, extending the cached factor in place
+            // (O(n²) per point). The model is taken out of the cache, so a
+            // failed append drops it and the next call retrains instead of
+            // re-appending onto a half-extended factor.
             let mut inc = self.gp.take().expect("cached GP exists");
-            if self.config.incremental {
-                // Hot path: extend the cached factor in place — no clone.
-                for i in self.fitted_n..n {
-                    let u = self.to_unit(&data.xs()[i]);
-                    inc.append_observation(u, data.ys()[i].max(self.fence))?;
-                }
-            } else {
-                // Legacy path: clone-and-extend per point. Bit-identical
-                // to the in-place path (same ops, same order).
-                let mut gp = inc.into_gp();
-                for i in self.fitted_n..n {
-                    let u = self.to_unit(&data.xs()[i]);
-                    gp = gp.extend_observed(u, data.ys()[i].max(self.fence))?;
-                }
-                inc = IncrementalGp::with_telemetry(gp, self.telemetry.clone());
+            for i in self.fitted_n..n {
+                let u = self.to_unit(&data.xs()[i]);
+                inc.append_observation(u, data.ys()[i].max(self.fence))?;
             }
             self.fitted_n = n;
             self.gp = Some(inc);
@@ -507,6 +484,20 @@ mod tests {
         let mut restored = manager();
         restored.restore(state).unwrap();
         assert_eq!(restored.fitted_n(), 0);
+    }
+
+    #[test]
+    fn failed_append_drops_the_cached_model() {
+        let mut sm = manager();
+        let mut d = dataset(8);
+        sm.surrogate(&d).unwrap();
+        d.push(vec![3.3], 0.4);
+        d.push(vec![6.6], f64::INFINITY);
+        assert!(sm.surrogate(&d).is_err());
+        // The half-extended model is gone and the fit count still names
+        // the last good fit, so the next call retrains from scratch.
+        assert!(sm.state().gp.is_none());
+        assert_eq!(sm.fitted_n(), 8);
     }
 
     #[test]

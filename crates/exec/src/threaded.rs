@@ -138,7 +138,7 @@ impl ThreadedExecutor {
     /// Runs asynchronous optimization on real threads. Semantics match
     /// [`crate::VirtualExecutor::run_async`], except times in the returned
     /// trace/schedule are *real elapsed seconds* and
-    /// [`BusyPoint::finish_time`] is `NaN` (unknown until completion).
+    /// [`crate::BusyPoint::finish_time`] is `NaN` (unknown until completion).
     ///
     /// # Errors
     ///
@@ -181,7 +181,7 @@ impl ThreadedExecutor {
     /// failed attempts (panics, failed/non-finite outcomes, timeouts,
     /// worker deaths) are requeued onto the pool after a real-seconds
     /// backoff, up to `retry.max_attempts`, then dropped/recorded/
-    /// penalized per [`FailureAction`]. A timed-out attempt is
+    /// penalized per [`crate::FailureAction`]. A timed-out attempt is
     /// abandoned: its busy point is removed immediately (so the policy
     /// stops penalizing around a dead point, §III-C), its span is
     /// flagged failed, and its worker is considered stuck until it

@@ -431,7 +431,7 @@ impl VirtualExecutor {
     /// crash, non-finite FOM, timeout) are requeued on the same worker
     /// after an exponential backoff *on the virtual clock*, up to
     /// `retry.max_attempts`; exhausted tasks are then dropped, recorded
-    /// raw, or recorded at a penalty per [`FailureAction`].
+    /// raw, or recorded at a penalty per [`crate::FailureAction`].
     ///
     /// Failed attempts emit `EvalFailed` (and `EvalRetried` when
     /// requeued); their spans carry the `failed` flag and are excluded

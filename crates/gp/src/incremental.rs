@@ -18,10 +18,10 @@
 //! the inner loop never refactorizes. Every push records the pre-push
 //! weight vector `α`, and the factor extension never touches the existing
 //! block, so a pop restores the previous model **bit for bit** — the
-//! property that keeps checkpoint/resume byte-identical when the
-//! incremental path is enabled. A hyperparameter retrain simply replaces
-//! the wrapped [`Gp`] (see `SurrogateManager` upstream), which is the
-//! cache-invalidation path back to the blocked full factorization.
+//! property that keeps checkpoint/resume byte-identical. A
+//! hyperparameter retrain simply replaces the wrapped [`Gp`] (see
+//! `SurrogateManager` upstream), which is the cache-invalidation path back
+//! to the blocked full factorization.
 
 use easybo_linalg::Vector;
 use easybo_telemetry::Telemetry;
@@ -82,12 +82,6 @@ impl IncrementalGp {
     /// The wrapped model, including any live pseudo-points.
     pub fn gp(&self) -> &Gp {
         &self.gp
-    }
-
-    /// Unwraps the model, popping any live pseudo-points first.
-    pub fn into_gp(mut self) -> Gp {
-        self.pop_all_pseudo();
-        self.gp
     }
 
     /// Number of live pseudo-points on the stack.
@@ -159,8 +153,8 @@ impl IncrementalGp {
     /// Pushes a hallucinated pseudo-point with a fixed raw-space "lie"
     /// target (the constant-liar ablations): `y` is standardized with the
     /// model's scaler, matching [`Gp::extend_observed`]'s transform —
-    /// but, unlike the liar-via-`extend_observed` legacy path, the point
-    /// stays hallucinated and poppable.
+    /// but, unlike a point appended by `extend_observed`, it stays
+    /// hallucinated and poppable.
     ///
     /// # Errors
     ///
@@ -419,16 +413,6 @@ mod tests {
         let snap = telemetry.metrics_snapshot().unwrap();
         assert_eq!(snap.counter("cholesky_update"), 3);
         assert_eq!(snap.counter("cholesky_downdate"), 2);
-    }
-
-    #[test]
-    fn into_gp_pops_live_pseudo_points() {
-        let gp = fitted();
-        let before = gp.state();
-        let mut inc = IncrementalGp::new(gp);
-        inc.push_pseudo_mean(vec![0.5]).unwrap();
-        let unwrapped = inc.into_gp();
-        assert_eq!(unwrapped.state(), before);
     }
 
     #[test]

@@ -297,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn beats_adam_on_ill_conditioned_quadratic() {
+    fn solves_ill_conditioned_quadratic() {
         let hessian_diag = [1.0, 100.0, 10000.0];
         let obj = |x: &[f64], g: &mut [f64]| {
             let mut fx = 0.0;
