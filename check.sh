@@ -11,6 +11,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# With EASYBO_REGEN_GOLDEN set, every golden test rewrites its fixture
+# and passes vacuously; a gate run must compare, never regenerate.
+if [[ -n "${EASYBO_REGEN_GOLDEN+set}" ]]; then
+    echo "error: EASYBO_REGEN_GOLDEN is set; unset it to run the gate" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

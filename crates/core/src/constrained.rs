@@ -713,7 +713,6 @@ mod tests {
             x: vec![0.3],
             task: 9,
             worker: 1,
-            finish_time: 50.0,
         }];
         for _ in 0..3 {
             let a = policy.select_next(&data, &busy);

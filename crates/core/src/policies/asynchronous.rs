@@ -354,7 +354,6 @@ mod tests {
             x: vec![0.5],
             task: 0,
             worker: 0,
-            finish_time: 100.0,
         }];
         let mut dist_pen = 0.0;
         let mut dist_plain = 0.0;
@@ -383,7 +382,6 @@ mod tests {
                 x: vec![0.5],
                 task: w,
                 worker: w,
-                finish_time: 10.0,
             })
             .collect();
         let mut policy = EasyBoAsyncPolicy::new(bounds.clone(), true, 9);
@@ -413,7 +411,6 @@ mod tests {
             x: vec![0.3],
             task: 9,
             worker: 1,
-            finish_time: 50.0,
         }];
         for _ in 0..3 {
             let a = policy.select_next(&data, &busy);

@@ -244,7 +244,6 @@ mod tests {
             x: vec![0.5],
             task: 0,
             worker: 0,
-            finish_time: 100.0,
         }];
         let mut with_busy = 0.0;
         let mut without = 0.0;
@@ -281,7 +280,6 @@ mod tests {
             x: vec![0.3],
             task: 9,
             worker: 1,
-            finish_time: 50.0,
         }];
         for _ in 0..3 {
             let a = policy.select_next(&data, &busy);

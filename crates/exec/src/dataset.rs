@@ -89,8 +89,6 @@ pub struct BusyPoint {
     pub task: usize,
     /// Which worker is running it.
     pub worker: usize,
-    /// Virtual time at which it will finish.
-    pub finish_time: f64,
 }
 
 #[cfg(test)]

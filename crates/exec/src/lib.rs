@@ -10,7 +10,9 @@
 //!   virtual clock. Simulation durations come from a parameter-dependent
 //!   [`SimTimeModel`] (HSPICE runtimes vary with the design point); the
 //!   sync/sequential/async drivers reproduce exactly the scheduling
-//!   arithmetic of the paper's testbed in microseconds of real time.
+//!   arithmetic of the paper's testbed in microseconds of real time. Its
+//!   async runs use the deterministic [`EventLoop`], the same loop the
+//!   `easybo-service` session manager feeds with remote results.
 //! * [`ThreadedExecutor`] — a real multi-threaded executor (crossbeam
 //!   channels + OS threads) for production use of the library, where the
 //!   black box is genuinely expensive.
@@ -29,6 +31,7 @@
 
 mod blackbox;
 mod dataset;
+mod event_loop;
 mod fanout;
 pub mod fault;
 mod retry;
@@ -41,6 +44,7 @@ mod virtual_exec;
 
 pub use blackbox::{AttemptContext, BlackBox, CostedFunction, EvalOutcome, Evaluation};
 pub use dataset::{BusyPoint, Dataset};
+pub use event_loop::{Dispatch, EventLoop};
 pub use fanout::FanOutBlackBox;
 pub use fault::{FaultPlan, FaultyBlackBox};
 pub use retry::{FailureAction, RetryPolicy};

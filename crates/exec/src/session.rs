@@ -4,15 +4,15 @@
 //! coordinator death: the observed [`Dataset`], the best-so-far
 //! [`RunTrace`], the committed [`Schedule`] spans, the queue of pending
 //! initial-design points, the busy/pseudo set, the in-flight attempt
-//! table, and the retry backoff queue. Executors drive it through
-//! [`SessionState::ask`] (propose the next task) and
+//! table, and the retry backoff queue. Callers move it through
+//! [`SessionState::ask_traced`] (propose the next task) and
 //! [`SessionState::tell`] (resolve a finished attempt); the event
-//! mechanics — the virtual executor's event heap, the threaded
-//! executor's channels — stay executor-local. This is the seam a
-//! future network ask/tell service plugs into, and the unit of durable
-//! persistence: [`SessionState::to_parts`] /
-//! [`SessionState::from_parts`] convert to/from the plain-data
-//! [`SessionParts`] that `easybo-persist` serializes.
+//! mechanics — the [`crate::EventLoop`] heap behind the virtual
+//! executor and the session manager, the threaded executor's channels —
+//! live outside it. It is also the unit of durable persistence:
+//! [`SessionState::to_parts`] / [`SessionState::from_parts`] convert
+//! to/from the plain-data [`SessionParts`] that `easybo-persist`
+//! serializes.
 
 use std::collections::VecDeque;
 
@@ -23,7 +23,7 @@ use crate::retry::{FailureAction, RetryPolicy};
 use crate::virtual_exec::{AsyncPolicy, RunResult};
 use crate::{BusyPoint, Dataset, RunTrace, Schedule, TaskSpan};
 
-/// A task proposed by [`SessionState::ask`]: evaluate `x` as attempt
+/// A task proposed by [`SessionState::ask_traced`]: evaluate `x` as attempt
 /// `attempt` of task `task`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suggestion {
@@ -224,16 +224,11 @@ impl SessionState {
 
     /// Proposes the next task: the next pending initial-design point,
     /// or a fresh policy proposal against the current data and busy
-    /// set. Returns `None` once the task budget is exhausted.
-    pub fn ask(&mut self, policy: &mut dyn AsyncPolicy) -> Option<Suggestion> {
-        self.ask_traced(policy, &Telemetry::disabled())
-    }
-
-    /// [`SessionState::ask`] wrapped in a `session_step` span, so the
-    /// proposal phase (and the GP/acquisition spans the policy opens
-    /// beneath it) lands on the run timeline. Both executors call this
-    /// from their coordinator thread only, which keeps span ids
-    /// deterministic.
+    /// set. Returns `None` once the task budget is exhausted. The
+    /// proposal runs in a `session_step` span, so it (and the
+    /// GP/acquisition spans the policy opens beneath it) lands on the
+    /// run timeline. Every caller runs this on its coordinator thread
+    /// only, which keeps span ids deterministic.
     pub fn ask_traced(
         &mut self,
         policy: &mut dyn AsyncPolicy,
@@ -257,9 +252,9 @@ impl SessionState {
     }
 
     /// Registers an attempt as in flight: adds its busy/pseudo point
-    /// and its in-flight record. `started` is `Some((worker,
-    /// start_time))` when the attempt begins executing immediately;
-    /// `finish_time` may be `NaN` when unknown (threaded executor).
+    /// and its in-flight record. `started` is the start time when the
+    /// attempt begins executing immediately on `worker`, `None` when it
+    /// waits in a queue (threaded executor).
     pub fn begin(
         &mut self,
         task: usize,
@@ -267,13 +262,11 @@ impl SessionState {
         x: Vec<f64>,
         worker: usize,
         started: Option<f64>,
-        finish_time: f64,
     ) {
         self.busy.push(BusyPoint {
             x: x.clone(),
             task,
             worker,
-            finish_time,
         });
         self.inflight.push(InFlightTask {
             task,
@@ -281,23 +274,6 @@ impl SessionState {
             x,
             started: started.map(|t| (worker, t)),
         });
-    }
-
-    /// Records a committed worker-occupancy span. The virtual executor
-    /// adds spans at dispatch time (the cost is known eagerly); remote
-    /// drivers such as the network session manager only learn the cost
-    /// when the result arrives, so they add the span here — in dispatch
-    /// order, which keeps the schedule bit-identical to the in-process
-    /// run.
-    pub fn add_span(&mut self, worker: usize, task: usize, start: f64, end: f64, failed: bool) {
-        self.schedule.add_with(worker, task, start, end, failed);
-    }
-
-    /// Sets the run clock (the time of the last processed event).
-    /// Drivers call this exactly where the in-process executor assigns
-    /// `session.clock`, so captures taken by either agree.
-    pub fn set_clock(&mut self, t: f64) {
-        self.clock = t;
     }
 
     /// Removes and returns every in-flight record in issue order,
@@ -605,14 +581,18 @@ mod tests {
     fn ask_drains_pending_then_polls_policy() {
         let init = vec![vec![0.1], vec![0.2]];
         let mut s = SessionState::new(2, 4, &init);
-        let a = s.ask(&mut Center).unwrap();
+        let t = Telemetry::disabled();
+        let a = s.ask_traced(&mut Center, &t).unwrap();
         assert_eq!((a.task, a.attempt, a.x), (0, 1, vec![0.1]));
-        let b = s.ask(&mut Center).unwrap();
+        let b = s.ask_traced(&mut Center, &t).unwrap();
         assert_eq!(b.x, vec![0.2]);
-        let c = s.ask(&mut Center).unwrap();
+        let c = s.ask_traced(&mut Center, &t).unwrap();
         assert_eq!(c.x, vec![0.5], "policy takes over after init");
-        assert!(s.ask(&mut Center).is_some());
-        assert!(s.ask(&mut Center).is_none(), "budget of 4 exhausted");
+        assert!(s.ask_traced(&mut Center, &t).is_some());
+        assert!(
+            s.ask_traced(&mut Center, &t).is_none(),
+            "budget of 4 exhausted"
+        );
         assert_eq!(s.issued(), 4);
     }
 
@@ -626,7 +606,7 @@ mod tests {
     #[test]
     fn begin_and_take_inflight_track_busy_points() {
         let mut s = SessionState::new(2, 4, &[]);
-        s.begin(0, 1, vec![0.3], 1, Some(2.0), 7.0);
+        s.begin(0, 1, vec![0.3], 1, Some(2.0));
         assert_eq!(s.busy().len(), 1);
         assert_eq!(s.inflight().len(), 1);
         assert_eq!(s.inflight()[0].started, Some((1, 2.0)));
@@ -726,7 +706,7 @@ mod tests {
         s.schedule.add_with(1, 1, 0.0, 6.0, false);
         // An active in-flight attempt whose span must be stripped.
         s.schedule.add_with(2, 2, 6.0, 14.0, false);
-        s.begin(2, 1, vec![0.7], 2, Some(6.0), 14.0);
+        s.begin(2, 1, vec![0.7], 2, Some(6.0));
         s.backoffs.push(PendingBackoff {
             due: 13.0,
             worker: 0,

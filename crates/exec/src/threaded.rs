@@ -137,8 +137,7 @@ impl ThreadedExecutor {
 
     /// Runs asynchronous optimization on real threads. Semantics match
     /// [`crate::VirtualExecutor::run_async`], except times in the returned
-    /// trace/schedule are *real elapsed seconds* and
-    /// [`crate::BusyPoint::finish_time`] is `NaN` (unknown until completion).
+    /// trace/schedule are *real elapsed seconds*.
     ///
     /// # Errors
     ///
@@ -381,8 +380,7 @@ impl ThreadedExecutor {
                     let worker = task % self.workers;
                     telemetry.emit_at_with(now, || Event::QueryIssued { task, worker });
                     issued_at.insert(task, now);
-                    // `finish_time` is unknown until completion.
-                    session.begin(task, attempt, x.clone(), worker, None, f64::NAN);
+                    session.begin(task, attempt, x.clone(), worker, None);
                     // A failed send means every worker exited; the
                     // capacity check below turns that into an error.
                     let _ = job_tx.send(Job { task, attempt, x });

@@ -1,14 +1,13 @@
 //! Deterministic discrete-event executors over a virtual clock.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use easybo_opt::OptError;
 use easybo_telemetry::{Event, Telemetry};
 
-use crate::blackbox::{AttemptContext, EvalOutcome};
+use crate::event_loop::EventLoop;
 use crate::retry::RetryPolicy;
-use crate::session::{HookAction, SessionHook, SessionState, Told};
+use crate::session::{SessionHook, SessionState};
 use crate::{BlackBox, BusyPoint, Dataset, RunTrace, Schedule};
 
 /// Batch-selection callback for the synchronous driver: given everything
@@ -102,184 +101,6 @@ impl RunResult {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VirtualExecutor {
     workers: usize,
-}
-
-/// Heap entry for the async driver, ordered earliest-first with
-/// worker/task/sequence tie-breaking for determinism. Under a no-retry
-/// policy the sequence number never decides (each `(time, worker,
-/// task)` triple is unique), so the event order is identical to the
-/// pre-fault-tolerance driver.
-#[derive(Debug)]
-struct SimEvent {
-    time: f64,
-    worker: usize,
-    task: usize,
-    seq: usize,
-    kind: SimEventKind,
-}
-
-#[derive(Debug)]
-enum SimEventKind {
-    /// An attempt's simulated completion (successful or not). The
-    /// query point lives in the session's in-flight table, keyed by
-    /// task — which is what makes the heap reconstructible from a
-    /// snapshot on resume.
-    Finish {
-        value: f64,
-        attempt: usize,
-        outcome: EvalOutcome,
-    },
-    /// A backoff expiry: begin the next attempt of a failed task (the
-    /// point and attempt number live in the session's backoff table).
-    Retry,
-}
-
-impl PartialEq for SimEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for SimEvent {}
-impl PartialOrd for SimEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SimEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.worker.cmp(&self.worker))
-            .then(other.task.cmp(&self.task))
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// Mutable state of one asynchronous resilient run; methods implement
-/// the discrete-event transitions so the driver loop stays linear. All
-/// durable bookkeeping lives in the [`SessionState`]; only the event
-/// heap (reconstructible from the session) is driver-local.
-struct AsyncDriver<'a> {
-    bb: &'a dyn BlackBox,
-    retry: &'a RetryPolicy,
-    telemetry: &'a Telemetry,
-    session: SessionState,
-    heap: BinaryHeap<SimEvent>,
-    seq: usize,
-}
-
-impl AsyncDriver<'_> {
-    /// Issues a brand-new task to `worker`: next pending init point or a
-    /// fresh policy proposal.
-    fn start_task(&mut self, worker: usize, now: f64, policy: &mut dyn AsyncPolicy) {
-        self.telemetry.set_now(now);
-        let Some(s) = self.session.ask_traced(policy, self.telemetry) else {
-            return;
-        };
-        self.begin_attempt(worker, now, s.task, s.x, s.attempt);
-    }
-
-    /// Runs one attempt of `task` on `worker`: evaluates eagerly,
-    /// applies the per-attempt timeout, records the span and busy
-    /// point, and schedules the finish event.
-    fn begin_attempt(&mut self, worker: usize, now: f64, task: usize, x: Vec<f64>, attempt: usize) {
-        self.telemetry.set_now(now);
-        let _span = self.telemetry.span("dispatch");
-        self.telemetry
-            .emit_at_with(now, || Event::QueryIssued { task, worker });
-        self.telemetry
-            .emit_at_with(now, || Event::EvalStarted { task, worker });
-        let e = self.bb.evaluate_attempt(
-            &x,
-            AttemptContext {
-                task,
-                attempt,
-                worker,
-                panics_caught: false,
-            },
-        );
-        let mut outcome = e.resolved_outcome();
-        let mut cost = e.cost;
-        if let Some(deadline) = self.retry.timeout {
-            if cost > deadline {
-                // The job system abandons the attempt at the deadline;
-                // the worker is occupied only until then.
-                cost = deadline;
-                outcome = EvalOutcome::TimedOut;
-            }
-        }
-        let finish = now + cost;
-        self.session
-            .schedule
-            .add_with(worker, task, now, finish, !outcome.is_ok());
-        self.session
-            .begin(task, attempt, x, worker, Some(now), finish);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(SimEvent {
-            time: finish,
-            worker,
-            task,
-            seq,
-            kind: SimEventKind::Finish {
-                value: e.value,
-                attempt,
-                outcome,
-            },
-        });
-    }
-
-    /// Resolves one finished attempt: commit, retry with backoff, or
-    /// apply the exhaustion action.
-    #[allow(clippy::too_many_arguments)]
-    fn on_finish(
-        &mut self,
-        time: f64,
-        worker: usize,
-        task: usize,
-        value: f64,
-        attempt: usize,
-        outcome: EvalOutcome,
-        policy: &mut dyn AsyncPolicy,
-    ) {
-        let Some(inf) = self.session.take_inflight(task) else {
-            return;
-        };
-        self.telemetry.set_now(time);
-        match self.session.tell(
-            self.retry,
-            self.telemetry,
-            time,
-            worker,
-            task,
-            inf.x,
-            value,
-            attempt,
-            outcome,
-        ) {
-            Told::Committed | Told::Dropped => self.refill(worker, time, policy),
-            Told::Backoff { due } => {
-                let seq = self.seq;
-                self.seq += 1;
-                // The worker backs off with its task: the retry runs on
-                // the same worker once the delay elapses.
-                self.heap.push(SimEvent {
-                    time: due,
-                    worker,
-                    task,
-                    seq,
-                    kind: SimEventKind::Retry,
-                });
-            }
-        }
-    }
-
-    /// Hands `worker` a new task if the budget allows.
-    fn refill(&mut self, worker: usize, now: f64, policy: &mut dyn AsyncPolicy) {
-        self.start_task(worker, now, policy);
-    }
 }
 
 impl VirtualExecutor {
@@ -427,7 +248,7 @@ impl VirtualExecutor {
     }
 
     /// [`VirtualExecutor::run_async_with`] under a [`RetryPolicy`]:
-    /// attempts whose outcome is not [`EvalOutcome::Ok`] (simulator
+    /// attempts whose outcome is not [`crate::EvalOutcome::Ok`] (simulator
     /// crash, non-finite FOM, timeout) are requeued on the same worker
     /// after an exponential backoff *on the virtual clock*, up to
     /// `retry.max_attempts`; exhausted tasks are then dropped, recorded
@@ -467,7 +288,7 @@ impl VirtualExecutor {
     /// # Errors
     ///
     /// Returns [`OptError::ExecutorFailure`] when the hook aborts the
-    /// run via [`HookAction::Stop`].
+    /// run via [`crate::HookAction::Stop`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_session_resilient(
         &self,
@@ -493,7 +314,7 @@ impl VirtualExecutor {
     ///
     /// Returns [`OptError::ExecutorFailure`] when the session was
     /// captured under a different worker count, or when the hook aborts
-    /// the run via [`HookAction::Stop`].
+    /// the run via [`crate::HookAction::Stop`].
     pub fn resume_session_resilient(
         &self,
         bb: &dyn BlackBox,
@@ -506,7 +327,8 @@ impl VirtualExecutor {
         self.drive(bb, session, policy, retry, telemetry, hook, true)
     }
 
-    /// The discrete-event loop shared by fresh and resumed runs.
+    /// Drives one [`EventLoop`] with eager evaluation against `bb`, for
+    /// fresh and resumed runs alike.
     #[allow(clippy::too_many_arguments)]
     fn drive(
         &self,
@@ -515,7 +337,7 @@ impl VirtualExecutor {
         policy: &mut dyn AsyncPolicy,
         retry: &RetryPolicy,
         telemetry: &Telemetry,
-        mut hook: Option<&mut SessionHook<'_>>,
+        hook: Option<&mut SessionHook<'_>>,
         resume: bool,
     ) -> Result<RunResult, OptError> {
         let b = self.workers;
@@ -527,81 +349,14 @@ impl VirtualExecutor {
                 ),
             });
         }
-        let mut d = AsyncDriver {
-            bb,
-            retry,
-            telemetry,
-            session,
-            heap: BinaryHeap::new(),
-            seq: 0,
-        };
-
+        let mut core = EventLoop::new(session);
         if resume {
-            // Re-issue every interrupted attempt at its recorded
-            // worker/start: re-evaluation is pure, so the span, busy
-            // point, and finish event all come back bit-identical.
-            // Attempts never started (threaded captures) restart at the
-            // capture clock on a deterministic worker.
-            let inflight = std::mem::take(&mut d.session.inflight);
-            let clock = d.session.clock();
-            for inf in inflight {
-                let (worker, start) = inf.started.unwrap_or((inf.task % b, clock));
-                d.begin_attempt(worker, start, inf.task, inf.x, inf.attempt);
-            }
-            // Pending backoffs become retry events again; the records
-            // stay in the session (the event loop consumes them).
-            let waiting: Vec<(f64, usize, usize)> = d
-                .session
-                .backoffs()
-                .iter()
-                .map(|r| (r.due, r.worker, r.task))
-                .collect();
-            for (due, worker, task) in waiting {
-                let seq = d.seq;
-                d.seq += 1;
-                d.heap.push(SimEvent {
-                    time: due,
-                    worker,
-                    task,
-                    seq,
-                    kind: SimEventKind::Retry,
-                });
-            }
+            core.resume(telemetry, Some(bb));
         } else {
-            for w in 0..b {
-                if d.session.issued() >= d.session.max_evals() {
-                    break;
-                }
-                d.start_task(w, 0.0, policy);
-            }
+            core.start(policy, telemetry, Some(bb));
         }
-        let mut last_completed = d.session.completed();
-        while let Some(ev) = d.heap.pop() {
-            d.session.clock = ev.time;
-            match ev.kind {
-                SimEventKind::Finish {
-                    value,
-                    attempt,
-                    outcome,
-                } => d.on_finish(ev.time, ev.worker, ev.task, value, attempt, outcome, policy),
-                SimEventKind::Retry => {
-                    if let Some(r) = d.session.take_backoff(ev.task) {
-                        d.telemetry.set_now(ev.time);
-                        let _span = d.telemetry.span("retry_backoff");
-                        d.begin_attempt(ev.worker, ev.time, ev.task, r.x, r.attempt);
-                    }
-                }
-            }
-            if d.session.completed() > last_completed {
-                last_completed = d.session.completed();
-                if let Some(h) = hook.as_mut() {
-                    if let HookAction::Stop { reason } = (**h)(&d.session, &*policy, ev.time) {
-                        return Err(OptError::ExecutorFailure { reason });
-                    }
-                }
-            }
-        }
-        let session = d.session;
+        core.run(policy, retry, telemetry, Some(bb), hook)?;
+        let session = core.into_session();
         if telemetry.enabled() {
             let makespan = session.schedule().makespan();
             for w in 0..b {
@@ -658,6 +413,7 @@ pub(crate) fn finish_run_metrics(telemetry: &Telemetry, schedule: &Schedule) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blackbox::AttemptContext;
     use crate::retry::FailureAction;
     use crate::{CostedFunction, SimTimeModel};
     use easybo_opt::Bounds;

@@ -16,9 +16,9 @@
 //! - [`chaos`] — a seeded [`WireFaultPlan`] dropping, duplicating,
 //!   reordering, stalling, and mid-frame-killing client frames, for
 //!   chaos-testing the transport.
-//! - [`manager`] — the [`SessionManager`]: many [`SessionState`]
-//!   machines pumped by a deferred-result discrete-event loop that is
-//!   *byte-identical* to the in-process virtual executor, with
+//! - [`manager`] — the [`SessionManager`]: many sessions, each an
+//!   [`EventLoop`] fed with remote results — the loop the in-process
+//!   virtual executor drives, hence *byte-identical* to it — with
 //!   fair-share work leasing, at-most-once result folding, and LRU
 //!   eviction to `easybo-persist` snapshots so resident memory stays
 //!   bounded no matter how many sessions are open.
@@ -32,7 +32,7 @@
 //! with the same trace, dataset, and schedule — byte for byte — as a
 //! clean in-process `run_session_resilient` over the same black box.
 //!
-//! [`SessionState`]: easybo_exec::SessionState
+//! [`EventLoop`]: easybo_exec::EventLoop
 
 pub mod chaos;
 pub mod client;
